@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .data import (
-    ColumnError,
+    DataError,
     FitConvergenceError,
     fit_dataset,
     load_csv,
@@ -37,6 +37,7 @@ from .limits import (
     QuadConvergenceError,
     QuadOptions,
     factorization_gap,
+    gap_on_grid,
     limit_H,
     marginal_H_quantile,
     write_gap_csv,
@@ -380,16 +381,17 @@ def cmd_verify_dn(cfg: Config, threads: int) -> int:
     normed, delta, test = _norm_metrics(cfg, threads, "deterministic")
     opts = cfg.quad_options()
     levels = cfg.analysis["grid_levels"]
-    q1 = [marginal_H_quantile(cfg.model, 1, p, opts) for p in levels]
-    q2 = [marginal_H_quantile(cfg.model, 2, p, opts) for p in levels]
+    q1 = marginal_H_quantile(cfg.model, 1, levels, opts)
+    q2 = marginal_H_quantile(cfg.model, 2, levels, opts)
     sup = 0.0
     w1 = np.asarray(normed.w1)
     w2 = np.asarray(normed.w2)
     for a in q1:
         le1 = w1 <= a
-        for b in q2:
+        h = limit_H(cfg.model, a, q2, opts)
+        for b, hb in zip(q2, h.tolist()):
             emp = float(np.mean(le1 & (w2 <= b)))
-            sup = max(sup, abs(emp - limit_H(cfg.model, a, b, opts)))
+            sup = max(sup, abs(emp - hb))
     metrics = {"sup_ecdf_h": float(sup), "delta": delta,
                "p_value": test.p_value, "n": cfg.run["n"], "t": cfg.run["t"],
                "b": test.b}
@@ -413,20 +415,10 @@ def cmd_limit_h(cfg: Config, threads: int) -> int:
     if xg is not None:
         x1s, x2s = xg["x1"], xg["x2"]
     else:
-        x1s = [marginal_H_quantile(cfg.model, 1, p, opts)
-               for p in cfg.analysis["grid_levels"]]
-        x2s = [marginal_H_quantile(cfg.model, 2, p, opts)
-               for p in cfg.analysis["grid_levels"]]
+        x1s = marginal_H_quantile(cfg.model, 1, cfg.analysis["grid_levels"], opts)
+        x2s = marginal_H_quantile(cfg.model, 2, cfg.analysis["grid_levels"], opts)
     path = cfg.out_dir() / "limit_h_surface.csv"
-    with open(path, "w", newline="") as fh:
-        fh.write("x1,x2,H,H1H2,diff\n")
-        for a in x1s:
-            h1 = limit_H(cfg.model, a, float("inf"), opts)
-            for b in x2s:
-                h = limit_H(cfg.model, a, b, opts)
-                h2 = limit_H(cfg.model, float("inf"), b, opts)
-                fh.write(",".join(repr(float(v))
-                                  for v in (a, b, h, h1 * h2, h - h1 * h2)) + "\n")
+    write_gap_csv(gap_on_grid(cfg.model, x1s, x2s, opts), path)
     write_report(cfg, "limit-h", {"n_points": len(x1s) * len(x2s)}, {},
                  started, [path])
     return EXIT_PASS
@@ -540,19 +532,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("CEVNORM_THREADS", "1"))
-    if threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
     try:
+        threads = args.threads
+        if threads is None:
+            env = os.environ.get("CEVNORM_THREADS", "1")
+            try:
+                threads = int(env)
+            except ValueError as exc:
+                raise ConfigError(f"CEVNORM_THREADS: expected an integer, got {env!r}") from exc
+        if threads < 1:
+            raise ConfigError("--threads must be >= 1")
         cfg = Config.load(args.config, seed=args.seed, out=args.out)
         return COMMANDS[args.command](cfg, threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ColumnError as exc:
+    except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:

@@ -47,8 +47,8 @@ _UNIT_MOMENTS = {
 }
 
 
-class ColumnError(ValueError):
-    """A requested column is missing from the input file."""
+class DataError(ValueError):
+    """The input file lacks a requested column or any clean numeric row."""
 
 
 class FitConvergenceError(RuntimeError):
@@ -127,7 +127,7 @@ def load_csv(path, conditioning_column: str, value_columns: Sequence[str],
         header = reader.fieldnames or []
         for col in wanted:
             if col not in header:
-                raise ColumnError(f"column {col!r} not found in {path}")
+                raise DataError(f"column {col!r} not found in {path}")
         for rec in reader:
             try:
                 vals = [float(rec[col]) for col in wanted]
@@ -139,7 +139,7 @@ def load_csv(path, conditioning_column: str, value_columns: Sequence[str],
                 continue
             rows.append(vals)
     if not rows:
-        raise ValueError(f"{path}: no clean numeric rows")
+        raise DataError(f"{path}: no clean numeric rows")
     arr = np.asarray(rows, dtype=float)
     return Dataset(columns=tuple(wanted), x0=arr[:, 0], y1=arr[:, 1],
                    y2=arr[:, 2], source=str(path), n=arr.shape[0],

@@ -7,8 +7,10 @@ G1(x1)*G2(x2).  Under deterministic norming it is the mixture law
                           G2((x2 - psi2(v))/v**rho2) v**-2 dv,
 
 evaluated here after the substitution u = 1/v, which absorbs the v**-2
-weight exactly and leaves a bounded integrand on (0, 1].  H factorises
-into its marginals iff one coordinate has (kappa, rho) = (0, 0).
+weight exactly and leaves a bounded integrand on (0, 1].  The integral is
+taken by tanh-sinh (double-exponential) quadrature over whole arrays of
+(x1, x2).  H factorises into its marginals iff one coordinate has
+(kappa, rho) = (0, 0).
 """
 
 from __future__ import annotations
@@ -16,16 +18,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from scipy.optimize import brentq
+import numpy as np
+from scipy.integrate import tanhsinh
+from scipy.optimize.elementwise import bracket_root, find_root
 
-from .models import CiModel, gv_at_infinity, noise_cdf
-from .norming import RHO_BRANCH_CUTOFF
+from .models import CiModel, noise_cdf
+from .norming import RHO_BRANCH_CUTOFF, limit_shift
+from .stats import DEFAULT_LEVELS
 
-DEFAULT_LEVELS = tuple(round(0.05 * k, 2) for k in range(1, 20))
+# tanh-sinh nodes near u = 0 can be subnormal, where 1/u overflows
+_U_MIN = np.finfo(float).tiny
+# bracket_root grows [-1, 1] to [-(2**(k+1) - 1), 2**(k+1) - 1] in k
+# steps; 38 steps reach +-(2**39 - 1), the last bracket inside +-1e12
+_BRACKET_STEPS = 38
 
 
 class QuadConvergenceError(RuntimeError):
-    """Adaptive refinement hit max depth; carries the best estimate and gap."""
+    """Quadrature or quantile search failed; carries the best estimate and gap."""
 
     def __init__(self, best: float, gap: float):
         super().__init__(
@@ -38,16 +47,10 @@ class QuadConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class QuadOptions:
     abs_tol: float = 1e-9
-    max_depth: int = 40
-    base_nodes: int = 64
 
     def __post_init__(self):
         if not self.abs_tol > 0:
             raise ValueError("abs_tol must be positive")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if self.base_nodes < 1:
-            raise ValueError("base_nodes must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -65,162 +68,102 @@ class GridSpec:
         object.__setattr__(self, "levels", lv)
 
 
-def _adaptive_panel(f, a, b, fa, fm, fb, whole, tol, depth, max_depth):
-    # classic adaptive Simpson: accept when the two-level refinement of a
-    # panel agrees with the one-level estimate within 15*tol
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    # the second acceptance clause floors the halving tolerance at rounding
-    # noise so boundary-layer spikes cannot demand sub-epsilon agreement
-    if abs(delta) <= 15.0 * tol or abs(delta) <= 1e-16 * (abs(left + right) + 1.0):
-        return left + right + delta / 15.0
-    if depth >= max_depth:
-        raise QuadConvergenceError(left + right + delta / 15.0, abs(delta))
-    half = 0.5 * tol
-    return _adaptive_panel(f, a, m, fa, flm, fm, left, half, depth + 1, max_depth) + \
-        _adaptive_panel(f, m, b, fm, frm, fb, right, half, depth + 1, max_depth)
-
-
-def integrate_unit_interval(f, opts: QuadOptions) -> float:
-    """Adaptive Simpson on [0, 1] over base_nodes panels."""
-    nodes = [k / opts.base_nodes for k in range(opts.base_nodes + 1)]
-    vals = [f(u) for u in nodes]
-    tol = opts.abs_tol / opts.base_nodes
-    total = 0.0
-    for k in range(opts.base_nodes):
-        a, b = nodes[k], nodes[k + 1]
-        fa, fb = vals[k], vals[k + 1]
-        fm = f(0.5 * (a + b))
-        whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-        total += _adaptive_panel(f, a, b, fa, fm, fb, whole, tol, 0, opts.max_depth)
-    return total
-
-
 def product_law_G(model: CiModel, x1: float, x2: float) -> float:
     """Random-norming limit: product of the two noise CDFs."""
     return float(noise_cdf(model.noise1, x1) * noise_cdf(model.noise2, x2))
 
 
-_SQRT2 = math.sqrt(2.0)
+def _kinks(model: CiModel, i: int, x) -> list:
+    """Points u in (0, 1) where factor i has a kink; 1.0 where it has none.
+
+    Only uniform noise has kinks: where the shifted argument crosses
+    either end c of the support.  With w = u**rho the argument is
+    w*(x + k/rho) - k/rho, or x + k*log(u) at rho = 0.
+    """
+    noise, erv = model.noise(i), model.erv(i)
+    if noise.family != "uniform":
+        return []
+    rho, k = erv.rho, erv.kappa_eff
+    out = []
+    for c in (noise.location, noise.location + noise.scale):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if abs(rho) >= RHO_BRANCH_CUTOFF:
+                u = ((c + k / rho) / (x + k / rho)) ** (1.0 / rho)
+            else:
+                u = np.exp((c - x) / k)
+        out.append(np.where((u > 0.0) & (u < 1.0), u, 1.0))
+    return out
 
 
-def _scalar_cdf(noise) -> callable:
-    # fast python-float CDF; the adaptive scheme makes many scalar calls
-    loc, scale, family = noise.location, noise.scale, noise.family
-    if family == "gaussian":
-        def cdf(x):
-            return 0.5 * (1.0 + math.erf((x - loc) / (scale * _SQRT2)))
-    elif family == "gumbel":
-        def cdf(x):
-            s = (x - loc) / scale
-            return math.exp(-math.exp(-s)) if s > -30.0 else 0.0
-    elif family == "logistic":
-        def cdf(x):
-            s = (x - loc) / scale
-            return 1.0 / (1.0 + math.exp(-s)) if s > -700.0 else 0.0
-    else:
-        def cdf(x):
-            s = (x - loc) / scale
-            return 0.0 if s < 0.0 else 1.0 if s > 1.0 else s
-    return cdf
+def _integrate(model: CiModel, x1, x2, opts: QuadOptions):
+    """int_0^1 G1 G2 du at every point of the broadcast (x1, x2)."""
+    x1, x2 = np.broadcast_arrays(np.asarray(x1, dtype=float),
+                                 np.asarray(x2, dtype=float))
+    zero = np.zeros(x1.shape)
+    # split (0, 1) at the kinks; every piece goes into one tanhsinh call
+    # along a trailing axis, and padding pieces have zero length
+    edges = np.sort(np.stack([zero, *_kinks(model, 1, x1), *_kinks(model, 2, x2),
+                              zero + 1.0], axis=-1), axis=-1)
+
+    def f(u, a, b):
+        v = 1.0 / np.maximum(u, _U_MIN)
+        return (noise_cdf(model.noise1, limit_shift(a, v, model.erv1))
+                * noise_cdf(model.noise2, limit_shift(b, v, model.erv2)))
+
+    res = tanhsinh(f, edges[..., :-1], edges[..., 1:],
+                   args=(x1[..., None], x2[..., None]),
+                   atol=opts.abs_tol / (edges.shape[-1] - 1), rtol=0.0)
+    total, error = res.integral.sum(axis=-1), res.error.sum(axis=-1)
+    if not np.all(res.success):
+        worst = np.argmax(np.where(res.success.all(axis=-1), -np.inf, error))
+        raise QuadConvergenceError(float(total.flat[worst]), float(error.flat[worst]))
+    return total
 
 
-def _scalar_gv(model: CiModel, i: int, x: float) -> callable:
-    # G_i((x - psi_i(v))/v**rho_i) as a function of v > 0, python floats only
-    erv = model.erv(i)
-    rho, keff = erv.rho, erv.kappa_eff
-    cdf = _scalar_cdf(model.noise(i))
-    x = float(x)
-    if math.isinf(x):
-        const = 1.0 if x > 0 else 0.0
-        return lambda v: const
-    if abs(rho) >= RHO_BRANCH_CUTOFF:
-        def gv(v):
-            lv = math.log(v)
-            return cdf((x - keff * math.expm1(rho * lv) / rho) * math.exp(-rho * lv))
-    else:
-        def gv(v):
-            return cdf(x - keff * math.log(v))
-    return gv
+def limit_H(model: CiModel, x1, x2, opts: QuadOptions = QuadOptions()):
+    """Deterministic-norming limit law H(x1, x2) by quadrature.
+
+    Broadcasts over x1 and x2; a float for scalar input.
+    """
+    val = np.clip(_integrate(model, x1, x2, opts), 0.0, 1.0)
+    return float(val) if val.ndim == 0 else val
 
 
-def _mixture_integrand(model: CiModel, x1, x2):
-    factors = []
-    lim = 1.0
-    if x1 is not None:
-        factors.append(_scalar_gv(model, 1, x1))
-        lim *= gv_at_infinity(model, 1, x1)
-    if x2 is not None:
-        factors.append(_scalar_gv(model, 2, x2))
-        lim *= gv_at_infinity(model, 2, x2)
-
-    if len(factors) == 2:
-        g1, g2 = factors
-
-        def f(u):
-            if u == 0.0:
-                return lim
-            v = 1.0 / u
-            return g1(v) * g2(v)
-    else:
-        (g1,) = factors
-
-        def f(u):
-            if u == 0.0:
-                return lim
-            return g1(1.0 / u)
-
-    return f
-
-
-def limit_H(model: CiModel, x1: float, x2: float,
-            opts: QuadOptions = QuadOptions()) -> float:
-    """Deterministic-norming limit law H(x1, x2) by quadrature."""
-    val = integrate_unit_interval(_mixture_integrand(model, x1, x2), opts)
-    return min(max(val, 0.0), 1.0)
-
-
-def marginal_H(model: CiModel, i: int, x: float,
-               opts: QuadOptions = QuadOptions()) -> float:
+def marginal_H(model: CiModel, i: int, x, opts: QuadOptions = QuadOptions()):
     """Marginal H_i(x) (the other argument at +inf)."""
     if i == 1:
-        f = _mixture_integrand(model, x, None)
-    elif i == 2:
-        f = _mixture_integrand(model, None, x)
-    else:
-        raise ValueError("coordinate index must be 1 or 2")
-    val = integrate_unit_interval(f, opts)
-    return min(max(val, 0.0), 1.0)
+        return limit_H(model, x, math.inf, opts)
+    if i == 2:
+        return limit_H(model, math.inf, x, opts)
+    raise ValueError("coordinate index must be 1 or 2")
 
 
-def marginal_H_quantile(model: CiModel, i: int, p: float,
-                        opts: QuadOptions = QuadOptions()) -> float:
-    """Solve marginal_H(i, x) = p by bracket expansion and Brent's method."""
-    if not 0.0 < p < 1.0:
+def marginal_H_quantile(model: CiModel, i: int, p,
+                        opts: QuadOptions = QuadOptions()):
+    """Solve marginal_H(i, x) = p for every level p at once.
+
+    The bracket grows from [-1, 1] and may not pass +-1e12.  A float for
+    scalar p.
+    """
+    parr = np.asarray(p, dtype=float)
+    if not np.all((parr > 0.0) & (parr < 1.0)):
         raise ValueError("p must lie strictly inside (0, 1)")
 
-    def g(x):
-        return marginal_H(model, i, x, opts) - p
+    def g(x, level):
+        return marginal_H(model, i, x, opts) - level
 
-    lo, hi = -1.0, 1.0
-    while g(lo) >= 0.0:
-        lo = 2.0 * lo - 1.0
-        if lo < -1e12:
-            raise QuadConvergenceError(lo, math.inf)
-    while g(hi) <= 0.0:
-        hi = 2.0 * hi + 1.0
-        if hi > 1e12:
-            raise QuadConvergenceError(hi, math.inf)
-    return brentq(g, lo, hi, xtol=1e-8)
+    br = bracket_root(g, -1.0, 1.0, args=(parr,), maxiter=_BRACKET_STEPS)
+    if not np.all(br.success):
+        # report the last end tried on the side that found no sign change
+        end = np.where(br.f_bracket[0] > 0, br.bracket[0], br.bracket[1])
+        raise QuadConvergenceError(float(end.flat[np.argmax(~br.success)]), math.inf)
+    root = find_root(g, br.bracket, args=(parr,), tolerances={"xatol": 1e-8})
+    return float(root.x) if root.x.ndim == 0 else root.x
 
 
 @dataclass(frozen=True)
 class GapResult:
-    """Factorization gap max |H - H1*H2| over a quantile grid."""
+    """Factorization gap max |H - H1*H2| over a grid."""
 
     gap: float
     argmax: tuple
@@ -229,23 +172,29 @@ class GapResult:
     table: tuple = field(repr=False, default=())  # rows (x1, x2, H, H1H2, diff)
 
 
+def gap_on_grid(model: CiModel, x1s, x2s,
+                opts: QuadOptions = QuadOptions()) -> GapResult:
+    """H, H1*H2 and their difference at every point of the grid x1s x x2s."""
+    x1s = np.asarray(x1s, dtype=float)
+    x2s = np.asarray(x2s, dtype=float)
+    prod = np.outer(marginal_H(model, 1, x1s, opts), marginal_H(model, 2, x2s, opts))
+    # one grid row per call keeps the quadrature's working arrays small
+    h = np.array([limit_H(model, a, x2s, opts) for a in x1s])
+    diff = h - prod
+    k1, k2 = np.unravel_index(np.argmax(np.abs(diff)), diff.shape)
+    a, b = np.meshgrid(x1s, x2s, indexing="ij")
+    table = np.stack([a, b, h, prod, diff], axis=-1).reshape(-1, 5)
+    return GapResult(gap=float(abs(diff[k1, k2])),
+                     argmax=(float(x1s[k1]), float(x2s[k2])),
+                     x1_grid=tuple(x1s.tolist()), x2_grid=tuple(x2s.tolist()),
+                     table=tuple(map(tuple, table.tolist())))
+
+
 def factorization_gap(model: CiModel, grid: GridSpec = GridSpec(),
                       opts: QuadOptions = QuadOptions()) -> GapResult:
     """Evaluate H and H1*H2 on the grid of marginal-H quantiles."""
-    q1 = [marginal_H_quantile(model, 1, p, opts) for p in grid.levels]
-    q2 = [marginal_H_quantile(model, 2, p, opts) for p in grid.levels]
-    m1 = [marginal_H(model, 1, x, opts) for x in q1]
-    m2 = [marginal_H(model, 2, x, opts) for x in q2]
-    best, argmax, table = -1.0, (q1[0], q2[0]), []
-    for a, h1 in zip(q1, m1):
-        for b, h2 in zip(q2, m2):
-            h = limit_H(model, a, b, opts)
-            diff = abs(h - h1 * h2)
-            table.append((a, b, h, h1 * h2, h - h1 * h2))
-            if diff > best:
-                best, argmax = diff, (a, b)
-    return GapResult(gap=best, argmax=argmax, x1_grid=tuple(q1),
-                     x2_grid=tuple(q2), table=tuple(table))
+    return gap_on_grid(model, marginal_H_quantile(model, 1, grid.levels, opts),
+                       marginal_H_quantile(model, 2, grid.levels, opts), opts)
 
 
 def write_gap_csv(result: GapResult, path) -> None:

@@ -186,30 +186,3 @@ def theoretical_Gv(model: CiModel, i: int, v, x):
         raise ValueError("v must be >= 1")
     return noise_cdf(model.noise(i), limit_shift(x, varr, model.erv(i)))
 
-
-def gv_at_infinity(model: CiModel, i: int, x) -> float:
-    """Pointwise limit of theoretical_Gv as v -> inf, evaluated stably.
-
-    Needed at the u = 0 endpoint of the mixture-law quadrature; naive
-    large-v arithmetic would hit inf/inf.
-    """
-    erv, noise = model.erv(i), model.noise(i)
-    rho, keff = erv.rho, erv.kappa_eff
-    x = float(x)
-    if math.isinf(x):
-        return 1.0 if x > 0 else 0.0
-    if rho > 0:
-        return float(noise_cdf(noise, -keff / rho))
-    if rho == 0:
-        if keff > 0:
-            return 0.0
-        if keff < 0:
-            return 1.0
-        return float(noise_cdf(noise, x))
-    # rho < 0: shift argument is (x + keff/rho)/v**rho with v**rho -> 0+
-    num = x + keff / rho
-    if num > 0:
-        return 1.0
-    if num < 0:
-        return 0.0
-    return float(noise_cdf(noise, -keff / rho))

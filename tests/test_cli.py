@@ -2,11 +2,21 @@
 codes, report determinism, and each subcommand's behaviour."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cevnorm.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_IO, EXIT_PASS, main
+from cevnorm.cli import (
+    EXIT_CONFIG,
+    EXIT_FAIL,
+    EXIT_IO,
+    EXIT_NUMERIC,
+    EXIT_PASS,
+    Config,
+    main,
+)
 from cevnorm.simulate import draw_exceedances, write_csv
 
 from conftest import make_model
@@ -90,6 +100,22 @@ class TestConfigValidation:
         cfg = {"model": CANONICAL, "io": {"output_dir": str(tmp_path)}}
         code = run("simulate", write_config(tmp_path, cfg), "--threads", "0")
         assert code == EXIT_CONFIG
+
+    def test_bad_threads_env_is_config_error(self, tmp_path, monkeypatch, capsys):
+        cfg = {"model": CANONICAL, "analysis": {"grid_levels": [0.5]},
+               "io": {"output_dir": str(tmp_path)}}
+        monkeypatch.setenv("CEVNORM_THREADS", "abc")
+        assert run("gap", write_config(tmp_path, cfg)) == EXIT_CONFIG
+        assert "config error: CEVNORM_THREADS" in capsys.readouterr().err
+
+    def test_readme_example_config_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (block,) = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+        path = tmp_path / "config.json"
+        path.write_text(block)
+        cfg = Config.load(path)
+        assert cfg.run["n"] == 100_000
+        assert cfg.analysis["thresholds"]["level"] == 0.01
 
     @pytest.mark.parametrize("command", ["simulate", "verify-rn", "verify-dn",
                                          "limit-h", "gap", "chi", "diagnose"])
@@ -263,6 +289,13 @@ class TestSurfacesAndGap:
         assert (out / "gap_table.csv").read_bytes() == table
         assert read_report(out, "gap")["metrics"]["gap"] > 0.01
 
+    def test_gap_unreachable_level_exits_4(self, tmp_path, capsys):
+        # H1(x) ~ 1/x**2 far left: level 1e-30 lies beyond the +-1e12 bracket
+        cfg = {"model": CANONICAL, "analysis": {"grid_levels": [1e-30, 0.5]},
+               "io": {"output_dir": str(tmp_path)}}
+        assert run("gap", write_config(tmp_path, cfg)) == EXIT_NUMERIC
+        assert "numerical error" in capsys.readouterr().err
+
 
 class TestChi:
     def test_near_comonotone_model(self, tmp_path):
@@ -333,6 +366,13 @@ class TestDiagnose:
     def test_missing_file_exit_3(self, tmp_path):
         cfg = self._cfg(tmp_path, tmp_path / "absent.csv")
         assert run("diagnose", write_config(tmp_path, cfg)) == EXIT_IO
+
+    def test_header_only_data_exit_3(self, tmp_path, capsys):
+        data_path = tmp_path / "data.csv"
+        data_path.write_text("x0,x1,x2\n")
+        cfg = self._cfg(tmp_path, data_path)
+        assert run("diagnose", write_config(tmp_path, cfg)) == EXIT_IO
+        assert "no clean numeric rows" in capsys.readouterr().err
 
     def test_undersized_data_exit_2(self, tmp_path, canonical_model, capsys):
         data_path = self._data_csv(tmp_path, canonical_model, n=50)

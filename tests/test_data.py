@@ -9,7 +9,7 @@ import pytest
 
 from cevnorm.data import (
     MIN_EXCEEDANCES,
-    ColumnError,
+    DataError,
     Dataset,
     FitConvergenceError,
     fit_dataset,
@@ -59,7 +59,7 @@ class TestLoadCsv:
 
     def test_missing_column_named_in_error(self, tmp_path):
         path = write_file(tmp_path, "a,b,c\n1,2,3\n")
-        with pytest.raises(ColumnError, match="'zzz'"):
+        with pytest.raises(DataError, match="'zzz'"):
             load_csv(path, "a", ["b", "zzz"])
 
     def test_missing_file(self, tmp_path):

@@ -3,6 +3,7 @@ law G, and the factorization gap."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,7 +13,6 @@ from cevnorm.limits import (
     QuadConvergenceError,
     QuadOptions,
     factorization_gap,
-    integrate_unit_interval,
     limit_H,
     marginal_H,
     marginal_H_quantile,
@@ -38,10 +38,6 @@ class TestOptions:
     def test_quad_options_validated(self):
         with pytest.raises(ValueError):
             QuadOptions(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadOptions(max_depth=0)
-        with pytest.raises(ValueError):
-            QuadOptions(base_nodes=0)
 
     @pytest.mark.parametrize("levels", [(), (0.0, 0.5), (0.5, 0.5), (0.9, 0.1)])
     def test_grid_spec_validated(self, levels):
@@ -49,14 +45,16 @@ class TestOptions:
             GridSpec(levels)
 
     def test_integrator_on_known_integral(self):
-        # int_0^1 u^3 du = 1/4
-        val = integrate_unit_interval(lambda u: u**3, QuadOptions())
-        assert val == pytest.approx(0.25, abs=1e-12)
+        # uniform noise, rho = 0, kappa = 1: H1(x) = int_0^1 clip(x + log u) du
+        # = x - 1 + exp(-x) on [0, 1], with a kink at u = exp(-x)
+        model = make_model(rho1=0.0, family="uniform")
+        for x in (0.2, 0.5, 0.9):
+            assert marginal_H(model, 1, x) == pytest.approx(x - 1.0 + math.exp(-x), abs=1e-12)
 
-    def test_convergence_error_carries_best_estimate(self):
-        opts = QuadOptions(abs_tol=1e-16, max_depth=1, base_nodes=1)
+    def test_convergence_error_carries_best_estimate(self, canonical_model):
+        # H1(x) ~ 1/x**2 far left, so level 1e-30 lies beyond the +-1e12 bracket
         with pytest.raises(QuadConvergenceError) as exc:
-            integrate_unit_interval(lambda u: math.exp(-5.0 * u * u), opts)
+            marginal_H_quantile(canonical_model, 1, 1e-30)
         assert math.isfinite(exc.value.best)
         assert exc.value.gap > 0
 
@@ -110,6 +108,78 @@ class TestLimitH:
         coarse = limit_H(canonical_model, 1.3, 0.4, QuadOptions(abs_tol=1e-6))
         fine = limit_H(canonical_model, 1.3, 0.4, QuadOptions(abs_tol=5e-7))
         assert abs(coarse - fine) < 1e-6
+
+
+def _uniform_H_oracle(model, x1, x2):
+    """H for uniform noise by mpmath quadrature over v in [1, inf).
+
+    Written from the definition, with no cevnorm code: the integral is
+    split at every v where an argument (x - psi(v))/v**rho crosses an end
+    of the noise support, where the integrand has a kink.
+    """
+    coords = [(x, model.erv(i), model.noise(i)) for i, x in ((1, x1), (2, x2))
+              if not math.isinf(x)]
+    with mpmath.workdps(30):
+        def arg(x, erv, v):
+            k = mpmath.mpf(erv.kappa) / erv.a
+            if erv.rho == 0.0:
+                return x - k * mpmath.log(v)
+            return (x - k * (v**erv.rho - 1) / erv.rho) / v**erv.rho
+
+        def integrand(v):
+            val = 1 / v**2
+            for x, erv, noise in coords:
+                s = (arg(x, erv, v) - noise.location) / noise.scale
+                val *= min(max(s, 0), 1)
+            return val
+
+        kinks = set()
+        for x, erv, noise in coords:
+            k = mpmath.mpf(erv.kappa) / erv.a
+            for c in (noise.location, noise.location + noise.scale):
+                if erv.rho == 0.0:
+                    v = mpmath.exp((x - c) / k)
+                else:
+                    w = (c + k / erv.rho) / (x + k / erv.rho)
+                    v = w ** (-1 / mpmath.mpf(erv.rho)) if w > 0 else 0
+                if 1 < v < mpmath.inf:
+                    kinks.add(v)
+        return float(mpmath.quad(integrand, [1, *sorted(kinks), mpmath.inf]))
+
+
+class TestUniformNoise:
+    """Uniform noise has a kinked CDF: the quadrature splits at the kinks."""
+
+    MODELS = {
+        "canonical": make_model(family="uniform"),
+        "rho1_zero": make_model(rho1=0.0, family="uniform"),
+        "rho_negative": make_model(rho1=-0.5, rho2=1.0, family="uniform"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @pytest.mark.parametrize("x1,x2", [(0.3, 0.6), (0.9, 0.1), (1.7, 1.2)])
+    def test_limit_H_matches_mpmath(self, name, x1, x2):
+        model = self.MODELS[name]
+        assert limit_H(model, x1, x2) == pytest.approx(
+            _uniform_H_oracle(model, x1, x2), abs=1e-9)
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_marginals_match_mpmath(self, name):
+        model = self.MODELS[name]
+        for x in (0.1, 0.4, 1.6):
+            assert marginal_H(model, 1, x) == pytest.approx(
+                _uniform_H_oracle(model, x, math.inf), abs=1e-9)
+            assert marginal_H(model, 2, x) == pytest.approx(
+                _uniform_H_oracle(model, math.inf, x), abs=1e-9)
+
+    def test_grid_call_equals_scalar_calls(self):
+        model = self.MODELS["rho_negative"]
+        x1 = np.array([-0.3, 0.4, 1.1, 2.5])
+        x2 = np.array([0.2, 0.8, 1.9])
+        grid = limit_H(model, x1[:, None], x2[None, :])
+        assert grid.shape == (4, 3)
+        scalar = [[limit_H(model, a, b) for b in x2] for a in x1]
+        np.testing.assert_allclose(grid, scalar, rtol=0, atol=1e-14)
 
 
 class TestMarginalH:

@@ -13,7 +13,6 @@ from cevnorm.models import (
     CiModel,
     NoiseLaw,
     conditional_from_uniforms,
-    gv_at_infinity,
     kernel_cdf,
     noise_cdf,
     noise_quantile,
@@ -258,30 +257,3 @@ class TestTheoreticalGv:
             errs.append(worst)
         assert errs == sorted(errs, reverse=True)  # monotone decay, O(1/t)
 
-
-class TestGvAtInfinity:
-    def test_positive_rho(self, canonical_model):
-        # shift argument tends to -kappa_eff/rho = -2
-        assert gv_at_infinity(canonical_model, 1, 0.3) == pytest.approx(float(ndtr(-2.0)))
-
-    def test_rho_zero_branches(self):
-        up = make_model(rho1=0.0, kappa1=1.0)
-        down = make_model(rho1=0.0, kappa1=-1.0)
-        flat = make_model(rho1=0.0, kappa1=0.0)
-        assert gv_at_infinity(up, 1, 5.0) == 0.0
-        assert gv_at_infinity(down, 1, 5.0) == 1.0
-        assert gv_at_infinity(flat, 1, 0.0) == pytest.approx(0.5)
-
-    def test_negative_rho(self):
-        model = make_model(rho1=-0.5, kappa1=1.0)
-        # psi(inf) = kappa/(-rho) = 2, v**rho -> 0: step at x = 2
-        assert gv_at_infinity(model, 1, 3.0) == 1.0
-        assert gv_at_infinity(model, 1, 1.0) == 0.0
-
-    def test_infinite_arguments(self, canonical_model):
-        assert gv_at_infinity(canonical_model, 1, math.inf) == 1.0
-        assert gv_at_infinity(canonical_model, 1, -math.inf) == 0.0
-
-    def test_matches_large_v_evaluation(self, canonical_model):
-        direct = float(theoretical_Gv(canonical_model, 1, 1e12, 0.3))
-        assert gv_at_infinity(canonical_model, 1, 0.3) == pytest.approx(direct, abs=1e-5)
