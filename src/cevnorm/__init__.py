@@ -12,8 +12,6 @@ from .models import (
     kernel_cdf,
     noise_cdf,
     noise_quantile,
-    sample_conditional,
-    sample_pareto_exceedance,
     theoretical_Gv,
 )
 from .simulate import (
@@ -29,13 +27,11 @@ from .limits import (
     factorization_gap,
     limit_H,
     marginal_H,
-    product_law_G,
 )
 from .stats import (
     Ecdf,
     TestResult,
     chi_hat,
-    convergence_diagnostic,
     ecdf_eval,
     factorization_stat,
     ks_distance,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import operator
 import os
 import sys
 import time
@@ -57,6 +58,7 @@ from .stats import (
     Ecdf,
     chi_hat,
     factorization_stat,
+    joint_ecdf,
     ks_distance,
     permutation_independence_test,
     pseudo_uniforms,
@@ -290,7 +292,7 @@ class Config:
 
 
 # ---------------------------------------------------------------------------
-# reports
+# reports and verdicts
 # ---------------------------------------------------------------------------
 
 def write_report(cfg: Config, command: str, metrics: dict, verdicts: dict,
@@ -312,18 +314,40 @@ def write_report(cfg: Config, command: str, metrics: dict, verdicts: dict,
     return report
 
 
-def _verdict_exit(verdicts: dict) -> int:
-    if verdicts and not all(verdicts.values()):
-        return EXIT_FAIL
-    return EXIT_PASS
+# threshold -> (verdict, metric, test of metric against threshold); with
+# expect_dependence set, "level" reads INDEPENDENCE_REJECTED instead
+VERDICT_RULES = {
+    "delta_max": ("delta_below_max", "delta", operator.lt),
+    "sup_max": ("ecdf_matches_H", "sup_ecdf_h", operator.lt),
+    "gap_max": ("gap_below_max", "gap", operator.le),
+    "gap_min": ("gap_above_min", "gap", operator.gt),
+    "level": ("independence_not_rejected", "p_value", operator.gt),
+}
+INDEPENDENCE_REJECTED = ("independence_rejected", "p_value", operator.le)
+
+
+def _verdicts(cfg: Config, metrics: dict, *thresholds: str) -> dict:
+    """One verdict per named threshold that the config sets."""
+    th = cfg.analysis["thresholds"]
+    if th is None:
+        return {}
+    out = {}
+    for key in thresholds:
+        if th[key] is None:
+            continue
+        name, metric, test = VERDICT_RULES[key]
+        if key == "level" and th["expect_dependence"]:
+            name, metric, test = INDEPENDENCE_REJECTED
+        out[name] = test(metrics[metric], th[key])
+    return out
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns (metrics, verdicts, files); its docstring is its help
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(cfg: Config, threads: int) -> int:
-    started = time.time()
+def cmd_simulate(cfg: Config, threads: int):
+    """draw conditioned exceedance samples and write them out"""
     files = []
     for t in cfg.t_values():
         sample = draw_exceedances(cfg.model, t, cfg.run["n"], cfg.run["seed"],
@@ -337,9 +361,7 @@ def cmd_simulate(cfg: Config, threads: int) -> int:
             path = stem.with_suffix(".bin")
             write_binary(sample, path)
             files.append(path)
-    write_report(cfg, "simulate", {"n": cfg.run["n"], "t_values": cfg.t_values()},
-                 {}, started, files)
-    return EXIT_PASS
+    return {"n": cfg.run["n"], "t_values": cfg.t_values()}, {}, files
 
 
 def _norm_metrics(cfg: Config, threads: int, mode: str):
@@ -353,8 +375,8 @@ def _norm_metrics(cfg: Config, threads: int, mode: str):
     return normed, delta, test
 
 
-def cmd_verify_rn(cfg: Config, threads: int) -> int:
-    started = time.time()
+def cmd_verify_rn(cfg: Config, threads: int):
+    """check factorization of the random-normed sample"""
     normed, delta, test = _norm_metrics(cfg, threads, "random")
     ks = {}
     for i, w in ((1, normed.w1), (2, normed.w2)):
@@ -363,53 +385,26 @@ def cmd_verify_rn(cfg: Config, threads: int) -> int:
                                    lambda x: noise_cdf(law, x))
     metrics = {"delta": delta, "p_value": test.p_value, **ks,
                "n": cfg.run["n"], "t": cfg.run["t"], "b": test.b}
-    verdicts = {}
-    th = cfg.analysis["thresholds"]
-    if th is not None:
-        if th["delta_max"] is not None:
-            verdicts["delta_below_max"] = delta < th["delta_max"]
-        if th["expect_dependence"]:
-            verdicts["independence_rejected"] = test.p_value <= th["level"]
-        else:
-            verdicts["independence_not_rejected"] = test.p_value > th["level"]
-    write_report(cfg, "verify-rn", metrics, verdicts, started, [])
-    return _verdict_exit(verdicts)
+    return metrics, _verdicts(cfg, metrics, "delta_max", "level"), []
 
 
-def cmd_verify_dn(cfg: Config, threads: int) -> int:
-    started = time.time()
+def cmd_verify_dn(cfg: Config, threads: int):
+    """compare the deterministic-normed sample against the mixture law"""
     normed, delta, test = _norm_metrics(cfg, threads, "deterministic")
     opts = cfg.quad_options()
     levels = cfg.analysis["grid_levels"]
     q1 = marginal_H_quantile(cfg.model, 1, levels, opts)
     q2 = marginal_H_quantile(cfg.model, 2, levels, opts)
-    sup = 0.0
-    w1 = np.asarray(normed.w1)
-    w2 = np.asarray(normed.w2)
-    for a in q1:
-        le1 = w1 <= a
-        h = limit_H(cfg.model, a, q2, opts)
-        for b, hb in zip(q2, h.tolist()):
-            emp = float(np.mean(le1 & (w2 <= b)))
-            sup = max(sup, abs(emp - hb))
-    metrics = {"sup_ecdf_h": float(sup), "delta": delta,
+    h = np.array([limit_H(cfg.model, a, q2, opts) for a in q1])
+    sup = float(np.max(np.abs(joint_ecdf(normed, q1, q2) - h)))
+    metrics = {"sup_ecdf_h": sup, "delta": delta,
                "p_value": test.p_value, "n": cfg.run["n"], "t": cfg.run["t"],
                "b": test.b}
-    verdicts = {}
-    th = cfg.analysis["thresholds"]
-    if th is not None:
-        if th["sup_max"] is not None:
-            verdicts["ecdf_matches_H"] = sup < th["sup_max"]
-        if th["expect_dependence"]:
-            verdicts["independence_rejected"] = test.p_value <= th["level"]
-        else:
-            verdicts["independence_not_rejected"] = test.p_value > th["level"]
-    write_report(cfg, "verify-dn", metrics, verdicts, started, [])
-    return _verdict_exit(verdicts)
+    return metrics, _verdicts(cfg, metrics, "sup_max", "level"), []
 
 
-def cmd_limit_h(cfg: Config, threads: int) -> int:
-    started = time.time()
+def cmd_limit_h(cfg: Config, threads: int):
+    """export the mixture-law surface on a grid"""
     opts = cfg.quad_options()
     xg = cfg.analysis["x_grid"]
     if xg is not None:
@@ -419,32 +414,22 @@ def cmd_limit_h(cfg: Config, threads: int) -> int:
         x2s = marginal_H_quantile(cfg.model, 2, cfg.analysis["grid_levels"], opts)
     path = cfg.out_dir() / "limit_h_surface.csv"
     write_gap_csv(gap_on_grid(cfg.model, x1s, x2s, opts), path)
-    write_report(cfg, "limit-h", {"n_points": len(x1s) * len(x2s)}, {},
-                 started, [path])
-    return EXIT_PASS
+    return {"n_points": len(x1s) * len(x2s)}, {}, [path]
 
 
-def cmd_gap(cfg: Config, threads: int) -> int:
-    started = time.time()
+def cmd_gap(cfg: Config, threads: int):
+    """quadrature factorization gap with verdict"""
     result = factorization_gap(cfg.model, GridSpec(tuple(cfg.analysis["grid_levels"])),
                                cfg.quad_options())
     path = cfg.out_dir() / "gap_table.csv"
     write_gap_csv(result, path)
     metrics = {"gap": result.gap, "argmax_x1": result.argmax[0],
                "argmax_x2": result.argmax[1]}
-    verdicts = {}
-    th = cfg.analysis["thresholds"]
-    if th is not None:
-        if th["gap_max"] is not None:
-            verdicts["gap_below_max"] = result.gap <= th["gap_max"]
-        if th["gap_min"] is not None:
-            verdicts["gap_above_min"] = result.gap > th["gap_min"]
-    write_report(cfg, "gap", metrics, verdicts, started, [path])
-    return _verdict_exit(verdicts)
+    return metrics, _verdicts(cfg, metrics, "gap_max", "gap_min"), [path]
 
 
-def cmd_chi(cfg: Config, threads: int) -> int:
-    started = time.time()
+def cmd_chi(cfg: Config, threads: int):
+    """empirical tail dependence coefficient over a probability ladder"""
     sample = draw_exceedances(cfg.model, 1.0, cfg.run["n"], cfg.run["seed"],
                               threads=threads)
     u0 = 1.0 - 1.0 / sample.x0  # unit-Pareto margin is known exactly
@@ -453,12 +438,11 @@ def cmd_chi(cfg: Config, threads: int) -> int:
     metrics = {"n": cfg.run["n"]}
     for p in cfg.analysis["p_levels"]:
         metrics[f"chi_{p:g}"] = chi_hat(u0, u1, u2, p)
-    write_report(cfg, "chi", metrics, {}, started, [])
-    return EXIT_PASS
+    return metrics, {}, []
 
 
-def cmd_diagnose(cfg: Config, threads: int) -> int:
-    started = time.time()
+def cmd_diagnose(cfg: Config, threads: int):
+    """fit norming functions to data and test residual independence"""
     if cfg.data is None:
         raise ConfigError("data: block required for diagnose")
     d = cfg.data
@@ -478,16 +462,7 @@ def cmd_diagnose(cfg: Config, threads: int) -> int:
         "kappa1": fits.fit1.erv.kappa, "kappa2": fits.fit2.erv.kappa,
         "delta": test.statistic, "p_value": test.p_value, "b": test.b,
     }
-    verdicts = {}
-    th = cfg.analysis["thresholds"]
-    if th is not None:
-        if th["expect_dependence"]:
-            verdicts["independence_rejected"] = test.p_value <= th["level"]
-        else:
-            verdicts["independence_not_rejected"] = test.p_value > th["level"]
-    write_report(cfg, "diagnose", metrics, verdicts, started,
-                 [fits_path, res_path])
-    return _verdict_exit(verdicts)
+    return metrics, _verdicts(cfg, metrics, "level"), [fits_path, res_path]
 
 
 COMMANDS = {
@@ -508,17 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "value limit laws under random vs deterministic norming.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    help_by_cmd = {
-        "simulate": "draw conditioned exceedance samples and write them out",
-        "verify-rn": "check factorization of the random-normed sample",
-        "verify-dn": "compare the deterministic-normed sample against the mixture law",
-        "limit-h": "export the mixture-law surface on a grid",
-        "gap": "quadrature factorization gap with verdict",
-        "chi": "empirical tail dependence coefficient over a probability ladder",
-        "diagnose": "fit norming functions to data and test residual independence",
-    }
-    for name, txt in help_by_cmd.items():
-        p = sub.add_parser(name, help=txt)
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.__doc__)
         p.add_argument("--config", required=True, help="path to JSON config")
         p.add_argument("--seed", type=int, default=None,
                        help="override run.seed from the config")
@@ -543,7 +509,10 @@ def main(argv=None) -> int:
         if threads < 1:
             raise ConfigError("--threads must be >= 1")
         cfg = Config.load(args.config, seed=args.seed, out=args.out)
-        return COMMANDS[args.command](cfg, threads)
+        started = time.time()
+        metrics, verdicts, files = COMMANDS[args.command](cfg, threads)
+        write_report(cfg, args.command, metrics, verdicts, started, files)
+        return EXIT_PASS if all(verdicts.values()) else EXIT_FAIL
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -553,7 +522,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (QuadConvergenceError, FitConvergenceError) as exc:
+    except (QuadConvergenceError, FitConvergenceError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except CapacityError as exc:

@@ -21,14 +21,13 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .models import FAMILIES, NoiseLaw
-from .norming import ErvParams, alpha, beta
+from .norming import RHO_BRANCH_CUTOFF, ErvParams, alpha, beta
 from .stats import TestResult, permutation_independence_test, pseudo_uniforms
 
 MIN_FIT_ROWS = 100
 MIN_EXCEEDANCES = 30
 
 RHO_BOUNDS = (-5.0, 1.0)
-A_BOUNDS = (1e-6, 1e6)
 KAPPA_BOUNDS = (-1e6, 1e6)
 LOC_BOUNDS = (-1e8, 1e8)
 SCALE_BOUNDS = (1e-8, 1e8)
@@ -36,6 +35,8 @@ SCALE_BOUNDS = (1e-8, 1e8)
 # fixed Latin-square pairing of (rho, kappa) starting points
 _RHO_STARTS = (-2.0, -1.0, -0.5, -0.1, 0.1, 0.3, 0.6, 0.9)
 _KAPPA_STARTS = (0.5, -1.0, 2.0, 0.0, 1.0, -0.5, 3.0, -2.0)
+N_STARTS = len(_RHO_STARTS)
+POLISH_MAXITER = 2000
 
 _EULER_GAMMA = 0.5772156649015329
 _UNIT_MOMENTS = {
@@ -159,13 +160,13 @@ def to_pareto_margins(values) -> np.ndarray:
 
 
 def _neg_log_likelihood(theta, y, logx0, logalpha_base, family):
-    a, rho, kappa, loc, scale = theta
-    if a <= 0 or scale <= 0:
+    rho, kappa, loc, scale = theta
+    if scale <= 0:
         return 1e300
     with np.errstate(over="ignore", invalid="ignore"):
         rl = rho * logx0
-        inv_alpha = np.exp(-rl) / a
-        if abs(rho) >= 1e-10:
+        inv_alpha = np.exp(-rl)
+        if abs(rho) >= RHO_BRANCH_CUTOFF:
             bta = kappa * np.expm1(rl) / rho
         else:
             bta = kappa * logx0
@@ -180,9 +181,8 @@ def _neg_log_likelihood(theta, y, logx0, logalpha_base, family):
             lp = -t - 2.0 * np.log1p(np.exp(-t))
         else:  # uniform on [0, 1] in standardised units
             lp = np.where((s >= 0.0) & (s <= 1.0), 0.0, -np.inf)
-        # Jacobian of y -> s: 1/(alpha(x0)*scale); sum log alpha = n log a + rho*sum log x0
-        nll = (-np.sum(lp) + y.size * (math.log(scale) + math.log(a))
-               + rho * logalpha_base)
+        # Jacobian of y -> s: 1/(alpha(x0)*scale); sum log alpha = rho*sum log x0
+        nll = -np.sum(lp) + y.size * math.log(scale) + rho * logalpha_base
     if not np.isfinite(nll):
         return 1e300
     return float(nll)
@@ -201,8 +201,7 @@ def _moment_start(y, x0, rho0, kappa0, family):
     return loc0, scale0
 
 
-def fit_norming(y, x0, family: str = "gaussian", n_starts: int = 8,
-                maxiter: int = 2000, fit_a: bool = False) -> NormingFit:
+def fit_norming(y, x0, family: str = "gaussian") -> NormingFit:
     """Fit y = beta(x0) + alpha(x0)*(loc + scale*Z) by pseudo-likelihood.
 
     x0 must already be on the unit-Pareto exceedance scale.  Derivative-
@@ -211,8 +210,7 @@ def fit_norming(y, x0, family: str = "gaussian", n_starts: int = 8,
     ties broken by start index.
 
     The likelihood is exactly flat along a rescaling of (a, loc, scale),
-    so a is pinned at 1 by default and scale carries the spread of
-    alpha(x0)*Z; fit_a=True frees it for the full 5-parameter search.
+    so a is pinned at 1 and scale carries the spread of alpha(x0)*Z.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown noise family {family!r}")
@@ -229,29 +227,17 @@ def fit_norming(y, x0, family: str = "gaussian", n_starts: int = 8,
 
     logx0 = np.log(x0)
     logalpha_base = float(np.sum(logx0))
-    if fit_a:
-        bounds = [A_BOUNDS, RHO_BOUNDS, KAPPA_BOUNDS, LOC_BOUNDS, SCALE_BOUNDS]
-        nll = _neg_log_likelihood
-    else:
-        bounds = [RHO_BOUNDS, KAPPA_BOUNDS, LOC_BOUNDS, SCALE_BOUNDS]
-
-        def nll(theta, *args):
-            return _neg_log_likelihood(np.concatenate(([1.0], theta)), *args)
+    bounds = [RHO_BOUNDS, KAPPA_BOUNDS, LOC_BOUNDS, SCALE_BOUNDS]
 
     # stage 1: short simplex runs from every start; stage 2: polish the best,
     # ties broken by start index (minimize keeps the first strict improvement)
     coarse, diagnostics, total_nit = None, [], 0
-    for idx in range(n_starts):
-        rho0 = _RHO_STARTS[idx % len(_RHO_STARTS)]
-        kappa0 = _KAPPA_STARTS[idx % len(_KAPPA_STARTS)]
+    for idx, (rho0, kappa0) in enumerate(zip(_RHO_STARTS, _KAPPA_STARTS)):
         loc0, scale0 = _moment_start(y, x0, rho0, kappa0, family)
         loc0 = float(np.clip(loc0, *LOC_BOUNDS))
         scale0 = float(np.clip(scale0, *SCALE_BOUNDS))
-        theta0 = np.array([rho0, kappa0, loc0, scale0])
-        if fit_a:
-            theta0 = np.concatenate(([1.0], theta0))
         res = minimize(
-            nll, theta0,
+            _neg_log_likelihood, np.array([rho0, kappa0, loc0, scale0]),
             args=(y, logx0, logalpha_base, family),
             method="Nelder-Mead", bounds=bounds,
             options={"maxiter": 150, "xatol": 1e-3, "fatol": 1e-4},
@@ -262,26 +248,25 @@ def fit_norming(y, x0, family: str = "gaussian", n_starts: int = 8,
         if coarse is None or res.fun < coarse.fun:
             coarse = res
     best = minimize(
-        nll, coarse.x,
+        _neg_log_likelihood, coarse.x,
         args=(y, logx0, logalpha_base, family),
         method="Nelder-Mead", bounds=bounds,
-        options={"maxiter": maxiter, "xatol": 1e-6, "fatol": 1e-8},
+        options={"maxiter": POLISH_MAXITER, "xatol": 1e-6, "fatol": 1e-8},
     )
     total_nit += int(best.nit)
     diagnostics.append({"start": "polish", "fun": float(best.fun),
                         "nit": int(best.nit), "success": bool(best.success)})
     if not (best.success and np.isfinite(best.fun) and best.fun < 1e299):
         raise FitConvergenceError(
-            f"polish stage failed to converge after {n_starts} restarts",
+            f"polish stage failed to converge after {N_STARTS} restarts",
             diagnostics,
         )
-    theta = best.x if fit_a else np.concatenate(([1.0], best.x))
-    a, rho, kappa, loc, scale = (float(v) for v in theta)
+    rho, kappa, loc, scale = (float(v) for v in best.x)
     return NormingFit(
-        erv=ErvParams(a=a, rho=rho, kappa=kappa),
+        erv=ErvParams(a=1.0, rho=rho, kappa=kappa),
         noise=NoiseLaw(family=family, location=loc, scale=scale),
         iterations=total_nit, converged=True,
-        objective=float(best.fun), n_starts=n_starts,
+        objective=float(best.fun), n_starts=N_STARTS,
     )
 
 

@@ -36,10 +36,8 @@ _BRACKET_STEPS = 38
 class QuadConvergenceError(RuntimeError):
     """Quadrature or quantile search failed; carries the best estimate and gap."""
 
-    def __init__(self, best: float, gap: float):
-        super().__init__(
-            f"quadrature failed to converge: best estimate {best}, gap {gap}"
-        )
+    def __init__(self, message: str, best: float, gap: float):
+        super().__init__(message)
         self.best = best
         self.gap = gap
 
@@ -66,11 +64,6 @@ class GridSpec:
         if any(b <= a for a, b in zip(lv, lv[1:])):
             raise ValueError("levels must be strictly increasing")
         object.__setattr__(self, "levels", lv)
-
-
-def product_law_G(model: CiModel, x1: float, x2: float) -> float:
-    """Random-norming limit: product of the two noise CDFs."""
-    return float(noise_cdf(model.noise1, x1) * noise_cdf(model.noise2, x2))
 
 
 def _kinks(model: CiModel, i: int, x) -> list:
@@ -116,7 +109,9 @@ def _integrate(model: CiModel, x1, x2, opts: QuadOptions):
     total, error = res.integral.sum(axis=-1), res.error.sum(axis=-1)
     if not np.all(res.success):
         worst = np.argmax(np.where(res.success.all(axis=-1), -np.inf, error))
-        raise QuadConvergenceError(float(total.flat[worst]), float(error.flat[worst]))
+        best, gap = float(total.flat[worst]), float(error.flat[worst])
+        raise QuadConvergenceError(
+            f"quadrature failed to converge: best estimate {best}, gap {gap}", best, gap)
     return total
 
 
@@ -156,7 +151,11 @@ def marginal_H_quantile(model: CiModel, i: int, p,
     if not np.all(br.success):
         # report the last end tried on the side that found no sign change
         end = np.where(br.f_bracket[0] > 0, br.bracket[0], br.bracket[1])
-        raise QuadConvergenceError(float(end.flat[np.argmax(~br.success)]), math.inf)
+        k = np.argmax(~br.success)
+        best = float(end.flat[k])
+        raise QuadConvergenceError(
+            f"level {float(parr.flat[k])!r} of marginal H{i} has no root in the "
+            f"bracket [-1e12, 1e12] (last end tried {best})", best, math.inf)
     root = find_root(g, br.bracket, args=(parr,), tolerances={"xatol": 1e-8})
     return float(root.x) if root.x.ndim == 0 else root.x
 

@@ -137,11 +137,6 @@ def pareto_exceedance_from_uniform(t, u):
     return tarr / uarr
 
 
-def sample_pareto_exceedance(t: float, rng) -> float:
-    """One draw of X0 given X0 > t under the unit-Pareto margin."""
-    return float(pareto_exceedance_from_uniform(t, rng.random()))
-
-
 def conditional_from_uniforms(model: CiModel, x0, u1, u2):
     """Map sub-uniforms to conditioned coordinates given X0 = x0."""
     x0 = np.asarray(x0, dtype=float)
@@ -156,13 +151,6 @@ def conditional_from_uniforms(model: CiModel, x0, u1, u2):
     x1 = beta(model.erv1, x0) + alpha(model.erv1, x0) * z1
     x2 = beta(model.erv2, x0) + alpha(model.erv2, x0) * z2
     return x1, x2
-
-
-def sample_conditional(model: CiModel, x0: float, rng):
-    """One draw of (X1, X2) given X0 = x0."""
-    u = np.maximum(rng.random(2), 2.0**-53)
-    x1, x2 = conditional_from_uniforms(model, x0, u[0], u[1])
-    return float(x1), float(x2)
 
 
 def kernel_cdf(model: CiModel, i: int, x0, y):

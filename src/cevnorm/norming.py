@@ -84,8 +84,12 @@ def limit_shift(x, v, params: ErvParams):
     """Argument map of the shifted limit family: (x - psi(v))/v**rho.
 
     psi uses the effective coefficient kappa/a.  With v = 1 this is the
-    identity on x.
+    identity on x.  For rho > 0 it is expanded to
+    x*v**-rho + kappa_eff*expm1(-rho*log v)/rho, which stays finite where
+    v**rho overflows.
     """
-    return (x - psi(v, params.rho, params.kappa_eff)) * np.exp(
-        -params.rho * np.log(_check_positive(v, "v"))
-    )
+    logv = np.log(_check_positive(v, "v"))
+    rho = params.rho
+    if rho > RHO_BRANCH_CUTOFF:
+        return x * np.exp(-rho * logv) + params.kappa_eff * np.expm1(-rho * logv) / rho
+    return (x - psi(v, rho, params.kappa_eff)) * np.exp(-rho * logv)

@@ -1,22 +1,15 @@
 """Empirical machinery: ECDFs, sup-distances, factorization statistics,
-permutation independence tests, the tail dependence coefficient, and
-convergence diagnostics across threshold levels."""
+permutation independence tests and the tail dependence coefficient."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.stats import rankdata
 
-from .models import CiModel, noise_cdf
-from .simulate import (
-    NormedSample,
-    apply_deterministic_norming,
-    apply_random_norming,
-    draw_exceedances,
-)
+from .simulate import NormedSample
 
 DEFAULT_LEVELS = tuple(round(0.05 * k, 2) for k in range(1, 20))
 BRUTE_FORCE_MAX_N = 2000
@@ -58,9 +51,13 @@ def ks_distance(e: Ecdf, F: Callable) -> float:
 
 def _pairs(pairs):
     if isinstance(pairs, NormedSample):
-        return pairs.w1, pairs.w2
-    w1, w2 = pairs
-    return np.asarray(w1, dtype=float), np.asarray(w2, dtype=float)
+        w1, w2 = pairs.w1, pairs.w2
+    else:
+        w1, w2 = (np.asarray(w, dtype=float) for w in pairs)
+    bad = np.count_nonzero(~(np.isfinite(w1) & np.isfinite(w2)))
+    if bad:
+        raise FloatingPointError(f"{bad} of {w1.size} pairs are not finite")
+    return w1, w2
 
 
 def _cell_indices(w: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -69,14 +66,30 @@ def _cell_indices(w: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return np.searchsorted(grid, w, side="left")
 
 
-def _grid_stat(d1: np.ndarray, d2: np.ndarray, n_levels: int) -> float:
-    n = d1.size
+def _joint_cdf(d1: np.ndarray, d2: np.ndarray, n_levels: int) -> np.ndarray:
+    """#(d1 <= k, d2 <= l) / n for k, l in 0..n_levels.
+
+    Row and column n_levels hold the marginals, since no index exceeds it.
+    """
     m = n_levels + 1
     cells = np.bincount(d1 * m + d2, minlength=m * m).reshape(m, m)
-    joint = cells.cumsum(axis=0).cumsum(axis=1)[:n_levels, :n_levels] / n
-    f1 = np.bincount(d1, minlength=m).cumsum()[:n_levels] / n
-    f2 = np.bincount(d2, minlength=m).cumsum()[:n_levels] / n
+    return cells.cumsum(axis=0).cumsum(axis=1) / d1.size
+
+
+def _grid_stat(d1: np.ndarray, d2: np.ndarray, n_levels: int) -> float:
+    f = _joint_cdf(d1, d2, n_levels)
+    joint, f1, f2 = f[:-1, :-1], f[:-1, -1], f[-1, :-1]
     return float(np.max(np.abs(joint - np.outer(f1, f2))))
+
+
+def joint_ecdf(pairs, g1, g2) -> np.ndarray:
+    """Joint ECDF at every point of the grid g1 x g2.
+
+    g1 and g2 must be increasing and of equal length.
+    """
+    w1, w2 = _pairs(pairs)
+    g1, g2 = np.asarray(g1, dtype=float), np.asarray(g2, dtype=float)
+    return _joint_cdf(_cell_indices(w1, g1), _cell_indices(w2, g2), g1.size)[:-1, :-1]
 
 
 def factorization_stat(pairs, levels: Sequence[float] = DEFAULT_LEVELS,
@@ -163,56 +176,3 @@ def chi_hat(u0, u1, u2, p: float, min_exceedances: int = 50) -> float:
         )
     both = np.count_nonzero(cond & (u1 > p) & (u2 > p))
     return both / n_cond
-
-
-@dataclass(frozen=True)
-class DiagnosticRow:
-    t: float
-    n: int
-    statistic: float
-    p_value: Optional[float]
-
-
-def convergence_diagnostic(model: CiModel, t_list: Sequence[float], n: int,
-                           seed: int, mode: str = "random",
-                           statistic: str = "delta",
-                           levels: Sequence[float] = DEFAULT_LEVELS,
-                           b: Optional[int] = None) -> list:
-    """One statistic per threshold level, tracking the approach to the limit.
-
-    statistic "delta" is the factorization distance of the normed pairs;
-    "ks1"/"ks2" is the KS distance of the corresponding margin to its
-    random-norming limit law (the noise CDF).  A permutation p-value is
-    attached when b is given.
-    """
-    if list(t_list) != sorted(t_list):
-        raise ValueError("t_list must be increasing")
-    if statistic not in ("delta", "ks1", "ks2"):
-        raise ValueError(f"unknown statistic {statistic!r}")
-    norm = apply_random_norming if mode == "random" else apply_deterministic_norming
-    if mode not in ("random", "deterministic"):
-        raise ValueError(f"unknown mode {mode!r}")
-    rows = []
-    for idx, t in enumerate(t_list):
-        sample = draw_exceedances(model, t, n, seed, stream=idx + 1)
-        normed = norm(sample, model)
-        if statistic == "delta":
-            stat = factorization_stat(normed, levels)
-        else:
-            i = int(statistic[-1])
-            w = normed.w1 if i == 1 else normed.w2
-            law = model.noise(i)
-            stat = ks_distance(Ecdf.from_sample(w), lambda x: noise_cdf(law, x))
-        p = None
-        if b is not None:
-            p = permutation_independence_test(normed, levels, b, seed).p_value
-        rows.append(DiagnosticRow(t=float(t), n=n, statistic=stat, p_value=p))
-    return rows
-
-
-def write_diagnostic_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("t,n,statistic,p_value\n")
-        for r in rows:
-            p = "" if r.p_value is None else repr(float(r.p_value))
-            fh.write(f"{r.t!r},{r.n},{r.statistic!r},{p}\n")

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line driver: config validation, exit
-codes, report determinism, and each subcommand's behaviour."""
+codes, verdicts, report determinism, and each subcommand's behaviour."""
 
+import importlib.util
 import json
 import re
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cevnorm import cli
 from cevnorm.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
@@ -205,6 +207,19 @@ class TestVerify:
         rep = read_report(tmp_path, "verify-rn")
         assert rep["metrics"]["p_value"] == pytest.approx(1.0 / 100.0)
 
+    def test_non_finite_pairs_exit_4(self, tmp_path, capsys):
+        # beta1(x0) overflows at kappa 1e308, t 1e300, so every w1 is NaN
+        model = {**CANONICAL, "erv1": {"a": 1e-300, "kappa": 1e308}}
+        cfg = {"model": model, "run": {"n": 2000, "seed": 0, "t": 1e300},
+               "analysis": {"b": 99,
+                            "thresholds": {"delta_max": 0.5, "level": 0.01}},
+               "io": {"output_dir": str(tmp_path / "out")}}
+        with np.errstate(all="ignore"):
+            code = run("verify-rn", write_config(tmp_path, cfg))
+        assert code == EXIT_NUMERIC
+        assert "2000 of 2000 pairs are not finite" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report_verify_rn.json").exists()
+
     def test_verify_dn_canonical(self, tmp_path):
         cfg = {"model": CANONICAL,
                "run": {"n": 2 * 10**4, "seed": 0, "t": 50},
@@ -248,6 +263,71 @@ class TestVerify:
             if code == EXIT_PASS:
                 not_rejected += 1
         assert not_rejected >= 9
+
+
+class TestVerdictTable:
+    """Each command applies its own thresholds and no others, whatever the
+    config sets, and its exit code follows its verdicts."""
+
+    KEYS = {
+        "simulate": set(),
+        "verify-rn": {"delta_below_max", "independence"},
+        "verify-dn": {"ecdf_matches_H", "independence"},
+        "limit-h": set(),
+        "gap": {"gap_below_max", "gap_above_min"},
+        "chi": set(),
+        "diagnose": {"independence"},
+    }
+
+    @pytest.mark.parametrize("expect_dependence", [False, True])
+    @pytest.mark.parametrize("command", list(KEYS))
+    def test_verdict_keys_and_exit(self, tmp_path, canonical_model, command,
+                                   expect_dependence):
+        data_path = tmp_path / "data.csv"
+        write_csv(draw_exceedances(canonical_model, 1.0, 2000, 0), data_path)
+        levels = [0.25, 0.5, 0.75]
+        cfg = {"model": CANONICAL,
+               "run": {"n": 2000, "seed": 0, "t": 10},
+               "analysis": {"b": 99, "levels": levels, "grid_levels": levels,
+                            "p_levels": [0.5, 0.9],
+                            "thresholds": {"delta_max": 0.5, "sup_max": 0.5,
+                                           "level": 0.01, "gap_max": 0.01,
+                                           "gap_min": 0.01,
+                                           "expect_dependence": expect_dependence}},
+               "data": {"path": str(data_path), "conditioning_column": "x0",
+                        "value_columns": ["x1", "x2"]},
+               "io": {"output_dir": str(tmp_path / "out")}}
+        code = run(command, write_config(tmp_path, cfg))
+        verdicts = read_report(tmp_path / "out", command)["verdicts"]
+        independence = ("independence_rejected" if expect_dependence
+                        else "independence_not_rejected")
+        assert set(verdicts) == {independence if k == "independence" else k
+                                 for k in self.KEYS[command]}
+        assert code == (EXIT_PASS if all(verdicts.values()) else EXIT_FAIL)
+
+
+class TestTracing:
+    def test_limit_h_spans(self, tmp_path):
+        """perfbench's tracer still finds the names it rebinds in the CLI."""
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        cfg = {"model": CANONICAL,
+               "analysis": {"x_grid": {"x1": [0.0, 1.0], "x2": [0.0, 1.0]}},
+               "io": {"output_dir": str(tmp_path)}}
+        cfg_path = write_config(tmp_path, cfg)
+        original = cli.write_report
+        tracer = tracing.Tracer()
+        with tracing.installed(tracer):
+            with tracer.span("cli.main", command="limit-h") as main_span:
+                assert run("limit-h", cfg_path) == EXIT_PASS
+        assert cli.write_report is original
+        (report,) = [s for s in tracer.spans if s["name"] == "cli.report"]
+        assert report["command"] == "limit-h" and report["points"] == 4
+        rows = [s for s in tracer.spans
+                if s["name"] == "limits.H" and s["parent"] == main_span["id"]]
+        assert len(rows) == 2
 
 
 class TestSurfacesAndGap:
@@ -294,7 +374,9 @@ class TestSurfacesAndGap:
         cfg = {"model": CANONICAL, "analysis": {"grid_levels": [1e-30, 0.5]},
                "io": {"output_dir": str(tmp_path)}}
         assert run("gap", write_config(tmp_path, cfg)) == EXIT_NUMERIC
-        assert "numerical error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical error" in err
+        assert "1e-30" in err and "[-1e12, 1e12]" in err
 
 
 class TestChi:

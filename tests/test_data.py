@@ -126,15 +126,9 @@ class TestFitNorming:
             fit = fit_norming(s.x1, s.x0, "gaussian")
             logx0 = np.log(s.x0)
             truth = data_mod._neg_log_likelihood(
-                np.array([1.0, 0.5, 1.0, 0.0, 1.0]), s.x1, logx0,
+                np.array([0.5, 1.0, 0.0, 1.0]), s.x1, logx0,
                 float(np.sum(logx0)), "gaussian")
             assert fit.objective <= truth + 1e-6
-
-    def test_five_parameter_mode(self, canonical_model):
-        s = draw_exceedances(canonical_model, 20.0, 5000, 4)
-        fit = fit_norming(s.x1, s.x0, "gaussian", fit_a=True)
-        assert fit.converged
-        assert abs(fit.erv.rho - 0.5) < 0.15
 
     def test_preconditions(self, rng):
         y = rng.normal(size=MIN_EXCEEDANCES - 1)

@@ -1,5 +1,5 @@
-"""Tests for the mixture law H, its marginals and quantiles, the product
-law G, and the factorization gap."""
+"""Tests for the mixture law H, its marginals and quantiles, and the
+factorization gap."""
 
 import math
 
@@ -16,7 +16,6 @@ from cevnorm.limits import (
     limit_H,
     marginal_H,
     marginal_H_quantile,
-    product_law_G,
     write_gap_csv,
 )
 from cevnorm.models import noise_cdf
@@ -57,19 +56,6 @@ class TestOptions:
             marginal_H_quantile(canonical_model, 1, 1e-30)
         assert math.isfinite(exc.value.best)
         assert exc.value.gap > 0
-
-
-class TestProductLaw:
-    def test_gaussian_square(self, canonical_model):
-        assert product_law_G(canonical_model, 0.0, 0.0) == pytest.approx(0.25)
-
-    def test_marginalization(self, canonical_model):
-        g1 = float(noise_cdf(canonical_model.noise1, 1.2))
-        assert product_law_G(canonical_model, 1.2, math.inf) == pytest.approx(g1)
-
-    def test_uniform_product(self):
-        model = make_model(family="uniform")
-        assert product_law_G(model, 0.3, 0.5) == pytest.approx(0.15)
 
 
 class TestLimitH:

@@ -120,6 +120,13 @@ class TestLimitShift:
             x = float(rng.normal(scale=10))
             assert limit_shift(x, 1.0, p) == x
 
+    def test_finite_where_v_power_overflows(self):
+        # v**rho overflows at rho = 2, v = 1e200; the shift tends to -kappa/rho
+        p = ErvParams(a=1.0, rho=2.0, kappa=1.0)
+        val = limit_shift(0.3, 1e200, p)
+        assert math.isfinite(val)
+        assert val == pytest.approx(-0.5, rel=1e-14)
+
 
 class TestErvIdentities:
     """Finite-t exactness of the canonical family (the content of Eq.-5-style

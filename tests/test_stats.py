@@ -1,5 +1,5 @@
 """Tests for ECDFs, the factorization statistic, the permutation test,
-the tail dependence coefficient, and convergence diagnostics."""
+and the tail dependence coefficient."""
 
 import numpy as np
 import pytest
@@ -10,16 +10,13 @@ from cevnorm.stats import (
     DEFAULT_LEVELS,
     Ecdf,
     chi_hat,
-    convergence_diagnostic,
     ecdf_eval,
     factorization_stat,
+    joint_ecdf,
     ks_distance,
     permutation_independence_test,
     pseudo_uniforms,
-    write_diagnostic_csv,
 )
-
-from conftest import make_model
 
 
 class TestEcdf:
@@ -74,6 +71,10 @@ class TestKsDistance:
 
 
 class TestFactorizationStat:
+    def test_default_levels_inside_unit_interval(self):
+        assert all(0.0 < p < 1.0 for p in DEFAULT_LEVELS)
+        assert len(DEFAULT_LEVELS) == 19
+
     def test_comonotone_bound(self, rng):
         w = rng.normal(size=1000)
         stat = factorization_stat((w, w), levels=(0.5,))
@@ -130,6 +131,30 @@ class TestFactorizationStat:
             factorization_stat((rng.normal(size=50), rng.normal(size=50)),
                                grid="banana")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pairs_raise(self, rng, bad):
+        w1, w2 = rng.normal(size=50), rng.normal(size=50)
+        w2[[3, 7]] = bad
+        for call in (lambda: factorization_stat((w1, w2)),
+                     lambda: permutation_independence_test((w1, w2), b=99),
+                     lambda: joint_ecdf((w1, w2), [0.0], [0.0])):
+            with pytest.raises(FloatingPointError, match="2 of 50 pairs"):
+                call()
+
+
+class TestJointEcdf:
+    def test_matches_indicator_means(self, rng):
+        # grid points on sample values, and beyond both ends of the data
+        w1 = np.round(rng.normal(size=300), 1)
+        w2 = np.round(rng.normal(size=300), 1)
+        g1 = np.array([-9.0, w1[0], 0.0, w1[1] + 1e-3, 9.0])
+        g1.sort()
+        g2 = np.array([-9.0, -0.5, w2[5], 0.3, 9.0])
+        g2.sort()
+        got = joint_ecdf((w1, w2), g1, g2)
+        want = np.array([[np.mean((w1 <= a) & (w2 <= b)) for b in g2] for a in g1])
+        assert np.array_equal(got, want)
+
 
 class TestPermutationTest:
     def test_comonotone_minimal_p(self, rng):
@@ -183,48 +208,3 @@ class TestPseudoUniformsAndChi:
             chi_hat(u, u, u, 1.5)
         with pytest.raises(ValueError):
             chi_hat(u, u, u, 0.999)  # no data above the level -> error, not 0
-
-
-class TestConvergenceDiagnostic:
-    def test_single_t_single_row(self, canonical_model):
-        rows = convergence_diagnostic(canonical_model, [50.0], 2000, 0)
-        assert len(rows) == 1
-        assert rows[0].t == 50.0 and rows[0].n == 2000
-        assert rows[0].p_value is None
-
-    def test_unperturbed_random_norming_flat(self, canonical_model):
-        rows = convergence_diagnostic(canonical_model, [10.0, 100.0, 1000.0],
-                                      10**4, 1, mode="random")
-        for r in rows:
-            assert r.statistic < 0.02  # sampling-noise level at n = 1e4
-
-    def test_perturbed_ks_decreasing(self):
-        model = make_model(perturbation=5.0)
-        rows = convergence_diagnostic(model, [10.0, 100.0, 1000.0, 10000.0],
-                                      10**5, 2, mode="random", statistic="ks1")
-        stats = [r.statistic for r in rows]
-        assert stats == sorted(stats, reverse=True)
-
-    def test_p_value_attached_when_requested(self, canonical_model):
-        rows = convergence_diagnostic(canonical_model, [20.0], 2000, 0, b=99)
-        assert rows[0].p_value is not None
-
-    def test_validation(self, canonical_model):
-        with pytest.raises(ValueError):
-            convergence_diagnostic(canonical_model, [100.0, 10.0], 1000, 0)
-        with pytest.raises(ValueError):
-            convergence_diagnostic(canonical_model, [10.0], 1000, 0, statistic="ks3")
-        with pytest.raises(ValueError):
-            convergence_diagnostic(canonical_model, [10.0], 1000, 0, mode="sideways")
-
-    def test_csv_export(self, canonical_model, tmp_path):
-        rows = convergence_diagnostic(canonical_model, [10.0, 20.0], 1000, 0, b=99)
-        path = tmp_path / "diag.csv"
-        write_diagnostic_csv(rows, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t,n,statistic,p_value"
-        assert len(lines) == 3
-
-    def test_default_levels_inside_unit_interval(self):
-        assert all(0.0 < p < 1.0 for p in DEFAULT_LEVELS)
-        assert len(DEFAULT_LEVELS) == 19
