@@ -297,6 +297,10 @@ class Config:
 
 def write_report(cfg: Config, command: str, metrics: dict, verdicts: dict,
                  started: float, files: list) -> dict:
+    """Write report_<command>.json; a non-finite metric raises before any file opens."""
+    for key in sorted(metrics):
+        if not np.all(np.isfinite(metrics[key])):
+            raise FloatingPointError(f"metric {key} is not finite: {metrics[key]!r}")
     report = {
         "command": command,
         "config": cfg.resolved,
@@ -307,10 +311,10 @@ def write_report(cfg: Config, command: str, metrics: dict, verdicts: dict,
         "version": __version__,
         "wall_clock_s": round(time.time() - started, 3),
     }
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     path = cfg.out_dir() / f"report_{command.replace('-', '_')}.json"
     with open(path, "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text)
     return report
 
 

@@ -67,7 +67,10 @@ class NormedSample:
 
 
 def _row_uniforms(seed: int, stream: int, lo: int, hi: int) -> np.ndarray:
-    bg = np.random.Philox(key=[seed & (2**64 - 1), stream & (2**64 - 1)])
+    # an explicit uint64 array: a list holding an int >= 2**63 passes
+    # through float64 and loses its low bits
+    key = np.array([seed & (2**64 - 1), stream & (2**64 - 1)], dtype=np.uint64)
+    bg = np.random.Philox(key=key)
     bg.advance(lo)
     return np.random.Generator(bg).random((hi - lo) * 4).reshape(-1, 4)
 
@@ -84,7 +87,8 @@ def draw_exceedances(
     """Draw n i.i.d. triples from the conditional law given X0 > t.
 
     Deterministic in (model, t, n, seed, stream) regardless of the
-    thread count or chunking.
+    thread count or chunking.  Raises FloatingPointError if any row is
+    not finite, for example when the model overflows.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -101,13 +105,17 @@ def draw_exceedances(
         u = np.maximum(u, 2.0**-53)
         x0 = pareto_exceedance_from_uniform(t, u[:, 0])
         x1, x2 = conditional_from_uniforms(model, x0, u[:, 1], u[:, 2])
-        return x0, x1, x2
+        bad = np.count_nonzero(~(np.isfinite(x0) & np.isfinite(x1) & np.isfinite(x2)))
+        return x0, x1, x2, bad
 
     if threads > 1 and len(bounds) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             chunks = list(pool.map(run, bounds))
     else:
         chunks = [run(b) for b in bounds]
+    n_bad = sum(c[3] for c in chunks)
+    if n_bad:
+        raise FloatingPointError(f"{n_bad} of {n} rows are not finite")
 
     x0 = np.concatenate([c[0] for c in chunks])
     x1 = np.concatenate([c[1] for c in chunks])

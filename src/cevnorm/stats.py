@@ -7,12 +7,13 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
+from scipy.stats import random_table, rankdata
 
 from .simulate import NormedSample
 
 DEFAULT_LEVELS = tuple(round(0.05 * k, 2) for k in range(1, 20))
 BRUTE_FORCE_MAX_N = 2000
+PERM_BLOCK = 64  # null tables drawn per call; bounds memory, not results
 
 
 @dataclass(frozen=True)
@@ -66,20 +67,25 @@ def _cell_indices(w: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return np.searchsorted(grid, w, side="left")
 
 
-def _joint_cdf(d1: np.ndarray, d2: np.ndarray, n_levels: int) -> np.ndarray:
-    """#(d1 <= k, d2 <= l) / n for k, l in 0..n_levels.
-
-    Row and column n_levels hold the marginals, since no index exceeds it.
-    """
+def _cell_table(d1: np.ndarray, d2: np.ndarray, n_levels: int) -> np.ndarray:
+    """#(d1 = k, d2 = l) for k, l in 0..n_levels."""
     m = n_levels + 1
-    cells = np.bincount(d1 * m + d2, minlength=m * m).reshape(m, m)
-    return cells.cumsum(axis=0).cumsum(axis=1) / d1.size
+    return np.bincount(d1 * m + d2, minlength=m * m).reshape(m, m)
 
 
-def _grid_stat(d1: np.ndarray, d2: np.ndarray, n_levels: int) -> float:
-    f = _joint_cdf(d1, d2, n_levels)
-    joint, f1, f2 = f[:-1, :-1], f[:-1, -1], f[-1, :-1]
-    return float(np.max(np.abs(joint - np.outer(f1, f2))))
+def _joint_cdf(cells: np.ndarray, n: int) -> np.ndarray:
+    """#(d1 <= k, d2 <= l) / n for each table in a (..., m, m) stack.
+
+    The last row and column hold the marginals, since no index exceeds them.
+    """
+    return cells.cumsum(axis=-2).cumsum(axis=-1) / n
+
+
+def _table_stats(cells: np.ndarray, n: int) -> np.ndarray:
+    """max |F12 - F1*F2| of each table in a (..., m, m) stack of cell counts."""
+    f = _joint_cdf(cells, n)
+    joint, f1, f2 = f[..., :-1, :-1], f[..., :-1, -1:], f[..., -1:, :-1]
+    return np.max(np.abs(joint - f1 * f2), axis=(-2, -1))
 
 
 def joint_ecdf(pairs, g1, g2) -> np.ndarray:
@@ -89,7 +95,8 @@ def joint_ecdf(pairs, g1, g2) -> np.ndarray:
     """
     w1, w2 = _pairs(pairs)
     g1, g2 = np.asarray(g1, dtype=float), np.asarray(g2, dtype=float)
-    return _joint_cdf(_cell_indices(w1, g1), _cell_indices(w2, g2), g1.size)[:-1, :-1]
+    cells = _cell_table(_cell_indices(w1, g1), _cell_indices(w2, g2), g1.size)
+    return _joint_cdf(cells, w1.size)[:-1, :-1]
 
 
 def factorization_stat(pairs, levels: Sequence[float] = DEFAULT_LEVELS,
@@ -118,36 +125,50 @@ def factorization_stat(pairs, levels: Sequence[float] = DEFAULT_LEVELS,
         g2 = np.quantile(w2, lv)
     else:
         raise ValueError(f"unknown grid mode {grid!r}")
-    return _grid_stat(_cell_indices(w1, g1), _cell_indices(w2, g2), g1.size)
+    cells = _cell_table(_cell_indices(w1, g1), _cell_indices(w2, g2), g1.size)
+    return float(_table_stats(cells, n))
 
 
 def permutation_independence_test(pairs, levels: Sequence[float] = DEFAULT_LEVELS,
                                   b: int = 999, seed: int = 0) -> TestResult:
     """Permutation test of independence based on the factorization distance.
 
-    The second coordinate is permuted b times; marginals (and hence the
-    quantile grid) are permutation-invariant, so only the joint counts
-    are recomputed per replicate.
+    The marginals, and hence the quantile grid, are invariant under
+    permuting the second coordinate, so the statistic depends only on the
+    table of counts in the grid's cells.  Permuting w2 against a fixed w1
+    draws that table from its exact null law, the Fisher-Freeman-Halton
+    (multivariate hypergeometric) law given both margins.  The b replicate
+    tables are drawn from that law directly by Patefield's algorithm
+    (AS 159, ``scipy.stats.random_table``), at a cost per replicate set by
+    the number of cells rather than by n.
+
+    The tables come from one generator, ``Philox(seed)``.  An integer
+    passed to Philox is hashed through ``SeedSequence`` into the key, so
+    this stream shares no key with the sampler's ``Philox(key=[seed,
+    stream])`` and the null tables are independent of the data.  They are
+    drawn in blocks of ``PERM_BLOCK``, which bounds memory and leaves the
+    tables, and so the p-value, unchanged.  p-values are reproducible for a
+    given scipy version.
     """
     if b < 99:
         raise ValueError("b must be >= 99")
     w1, w2 = _pairs(pairs)
     n = w1.size
     lv = np.asarray(levels, dtype=float)
-    g1 = np.quantile(w1, lv)
-    g2 = np.quantile(w2, lv)
-    d1 = _cell_indices(w1, g1)
-    d2 = _cell_indices(w2, g2)
-    observed = _grid_stat(d1, d2, lv.size)
+    m = lv.size + 1
+    d1 = _cell_indices(w1, np.quantile(w1, lv))
+    d2 = _cell_indices(w2, np.quantile(w2, lv))
+    observed = _table_stats(_cell_table(d1, d2, lv.size), n)
 
+    null = random_table(np.bincount(d1, minlength=m), np.bincount(d2, minlength=m))
+    rng = np.random.Generator(np.random.Philox(seed & (2**64 - 1)))
     n_ge = 0
-    for r in range(b):
-        bg = np.random.Philox(key=[seed & (2**64 - 1), (r + 1) & (2**64 - 1)])
-        perm = np.random.Generator(bg).permutation(d2)
-        if _grid_stat(d1, perm, lv.size) >= observed:
-            n_ge += 1
+    for lo in range(0, b, PERM_BLOCK):
+        tables = null.rvs(size=min(PERM_BLOCK, b - lo), method="patefield",
+                          random_state=rng)
+        n_ge += int(np.count_nonzero(_table_stats(tables, n) >= observed))
     p = (1 + n_ge) / (b + 1)
-    return TestResult(statistic=observed, p_value=p, n=n, b=b, seed=seed)
+    return TestResult(statistic=float(observed), p_value=p, n=n, b=b, seed=seed)
 
 
 def pseudo_uniforms(values) -> np.ndarray:

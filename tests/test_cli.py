@@ -217,8 +217,30 @@ class TestVerify:
         with np.errstate(all="ignore"):
             code = run("verify-rn", write_config(tmp_path, cfg))
         assert code == EXIT_NUMERIC
-        assert "2000 of 2000 pairs are not finite" in capsys.readouterr().err
+        assert "2000 of 2000 rows are not finite" in capsys.readouterr().err
         assert not (tmp_path / "out" / "report_verify_rn.json").exists()
+
+    @pytest.mark.parametrize("command", ["chi", "simulate"])
+    def test_non_finite_sample_exit_4(self, tmp_path, capsys, command):
+        # at t = 1, beta1(x0) overflows to inf in 326 of the 2000 rows
+        model = {**CANONICAL, "erv1": {"a": 1e-300, "kappa": 1e308}}
+        out = tmp_path / "out"
+        cfg = {"model": model, "run": {"n": 2000, "seed": 0, "t": 1.0},
+               "analysis": {"p_levels": [0.5, 0.9]},
+               "io": {"output_dir": str(out), "formats": ["csv", "binary"]}}
+        with np.errstate(all="ignore"):
+            code = run(command, write_config(tmp_path, cfg))
+        assert code == EXIT_NUMERIC
+        assert "326 of 2000 rows are not finite" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_non_finite_metric_writes_no_report(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(cli.COMMANDS, "gap",
+                            lambda cfg, threads: ({"gap": 0.1, "argmax_x1": np.nan}, {}, []))
+        cfg = {"io": {"output_dir": str(tmp_path / "out")}}
+        assert run("gap", write_config(tmp_path, cfg)) == EXIT_NUMERIC
+        assert "metric argmax_x1 is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report_gap.json").exists()
 
     def test_verify_dn_canonical(self, tmp_path):
         cfg = {"model": CANONICAL,

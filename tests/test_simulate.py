@@ -2,9 +2,13 @@
 sample serialization."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cevnorm.models import noise_cdf
 from cevnorm.norming import alpha, beta
@@ -21,6 +25,11 @@ from cevnorm.simulate import (
     write_csv,
 )
 from cevnorm.stats import factorization_stat, permutation_independence_test
+
+from conftest import make_model
+
+# beta1(x0) overflows to inf for part of the rows at t = 1
+OVERFLOW_MODEL = make_model(a1=1e-300, kappa1=1e308, rho1=0.0)
 
 
 def _pinned_sample(model, t, x0, x1, x2, seed=0):
@@ -54,6 +63,13 @@ class TestDrawExceedances:
         assert not np.array_equal(a.x0, b.x0)
         assert not np.array_equal(a.x0, c.x0)
 
+    @pytest.mark.parametrize("seed", [2**63 + 1, -6])
+    def test_seeds_above_2_63_keep_their_low_bits(self, canonical_model, seed):
+        # negative seeds are keyed as seed mod 2**64, so above 2**63 too
+        a = draw_exceedances(canonical_model, 10.0, 10, seed)
+        b = draw_exceedances(canonical_model, 10.0, 10, seed + 1)
+        assert not np.array_equal(a.x0, b.x0)
+
     @pytest.mark.parametrize("threads", [2, 8])
     def test_threaded_bit_identity(self, canonical_model, threads):
         n = CHUNK_ROWS + 777  # force a chunk boundary
@@ -62,6 +78,29 @@ class TestDrawExceedances:
         np.testing.assert_array_equal(single.x0, multi.x0)
         np.testing.assert_array_equal(single.x1, multi.x1)
         np.testing.assert_array_equal(single.x2, multi.x2)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @settings(max_examples=6, deadline=None)
+    @given(n=st.integers(1, 3000), seed=st.integers(0, 2**64 - 1),
+           overflow=st.booleans())
+    @example(n=CHUNK_ROWS - 1, seed=0, overflow=False)
+    @example(n=CHUNK_ROWS, seed=1, overflow=False)
+    @example(n=CHUNK_ROWS + 1, seed=2, overflow=False)
+    @example(n=CHUNK_ROWS + 1, seed=3, overflow=True)
+    def test_rows_and_errors_independent_of_threads(self, n, seed, overflow):
+        model = OVERFLOW_MODEL if overflow else make_model()
+        outcomes = []
+        for threads in (1, 2, 3):
+            try:
+                outcomes.append(draw_exceedances(model, 1.0, n, seed,
+                                                 threads=threads).rows())
+            except FloatingPointError as exc:
+                outcomes.append(str(exc))
+        for other in outcomes[1:]:
+            if isinstance(other, str):
+                assert other == outcomes[0]
+            else:
+                np.testing.assert_array_equal(other, outcomes[0])
 
     def test_all_rows_exceed_threshold(self, canonical_model):
         s = draw_exceedances(canonical_model, 30.0, 10**4, 3)
@@ -165,11 +204,16 @@ class TestIndependenceCalibration:
 
 
 class TestSerialization:
-    def test_csv_roundtrip_exact(self, canonical_model, tmp_path):
-        s = draw_exceedances(canonical_model, 10.0, 50, 9)
-        path = tmp_path / "sample.csv"
-        write_csv(s, path)
-        lines = path.read_text().strip().splitlines()
+    @settings(max_examples=10, deadline=None)
+    @given(n=st.integers(1, 200), seed=st.integers(0, 2**64 - 1),
+           t=st.floats(1.0, 1e12))
+    @example(n=50, seed=9, t=10.0)
+    def test_csv_roundtrip_exact(self, canonical_model, n, seed, t):
+        s = draw_exceedances(canonical_model, t, n, seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "sample.csv"
+            write_csv(s, path)
+            lines = path.read_text().strip().splitlines()
         assert lines[0] == "x0,x1,x2"
         parsed = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
         np.testing.assert_array_equal(parsed, s.rows())

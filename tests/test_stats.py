@@ -4,7 +4,9 @@ and the tail dependence coefficient."""
 import numpy as np
 import pytest
 from scipy.special import ndtri
+from scipy.stats import random_table
 
+from cevnorm import stats
 from cevnorm.stats import (
     BRUTE_FORCE_MAX_N,
     DEFAULT_LEVELS,
@@ -180,6 +182,87 @@ class TestPermutationTest:
     def test_b_floor(self, rng):
         with pytest.raises(ValueError):
             permutation_independence_test((rng.normal(size=50),) * 2, b=50)
+
+
+LEVELS4 = (0.2, 0.4, 0.6, 0.8)
+
+
+def _datasets():
+    """n = 300 pairs: independent, weakly dependent, and w2 with three values
+    (empty cells and zero column margins on the 4-level grid)."""
+    gen = np.random.default_rng(11)
+    w1 = gen.normal(size=300)
+    return {
+        "independent": (w1, gen.normal(size=300)),
+        "weak": (w1, 0.1 * w1 + gen.normal(size=300)),
+        "three_values": (w1, gen.integers(0, 3, size=300).astype(float)),
+    }
+
+
+def _shuffle_stats(w1, w2, levels, n_shuffles, gen):
+    """The statistic of each explicit shuffle of w2, and of w2 itself."""
+    lv = np.asarray(levels)
+    m = lv.size + 1
+    d1 = np.searchsorted(np.quantile(w1, lv), w1, side="left")
+    d2 = np.searchsorted(np.quantile(w2, lv), w2, side="left")
+    perms = np.vstack([d2, [gen.permutation(d2) for _ in range(n_shuffles)]])
+    codes = d1 * m + perms + (m * m) * np.arange(perms.shape[0])[:, None]
+    cells = np.bincount(codes.ravel(), minlength=perms.shape[0] * m * m)
+    f = cells.reshape(-1, m, m).cumsum(axis=1).cumsum(axis=2) / w1.size
+    dev = np.abs(f[:, :-1, :-1] - f[:, :-1, -1:] * f[:, -1:, :-1])
+    stat = dev.max(axis=(1, 2))
+    return stat[0], stat[1:]
+
+
+class TestNullTables:
+    """The null tables are drawn from the permutation law directly."""
+
+    @pytest.mark.parametrize("name", ["independent", "weak", "three_values"])
+    def test_matches_explicit_shuffles(self, name):
+        w1, w2 = _datasets()[name]
+        observed, shuffled = _shuffle_stats(w1, w2, LEVELS4, 20_000,
+                                            np.random.default_rng(5))
+        assert observed == factorization_stat((w1, w2), LEVELS4)
+        ref = (1 + np.count_nonzero(shuffled >= observed)) / (shuffled.size + 1)
+        b = 9999
+        p = permutation_independence_test((w1, w2), LEVELS4, b=b, seed=3).p_value
+        se = np.sqrt(ref * (1 - ref) * (1 / (b + 1) + 1 / (shuffled.size + 1)))
+        assert 0.02 < ref < 0.98
+        assert abs(p - ref) <= 4 * se, (p, ref, (p - ref) / se)
+
+    @pytest.mark.parametrize("block", [1, 7, 199])
+    def test_block_size_does_not_move_p(self, monkeypatch, block):
+        w1, w2 = _datasets()["weak"]
+        want = permutation_independence_test((w1, w2), LEVELS4, b=199, seed=8)
+        monkeypatch.setattr(stats, "PERM_BLOCK", block)
+        got = permutation_independence_test((w1, w2), LEVELS4, b=199, seed=8)
+        assert got == want
+
+    @pytest.mark.parametrize("b", [99, 127, 128, 129])
+    def test_p_on_lattice_and_b_tables_drawn(self, monkeypatch, b):
+        drawn = []
+
+        class Counting:
+            def __init__(self, rows, cols):
+                self.null = random_table(rows, cols)
+
+            def rvs(self, **kwargs):
+                tables = self.null.rvs(**kwargs)
+                drawn.append(len(tables))
+                return tables
+
+        monkeypatch.setattr(stats, "random_table", Counting)
+        w1, w2 = _datasets()["independent"]
+        p = permutation_independence_test((w1, w2), LEVELS4, b=b, seed=2).p_value
+        k = round(p * (b + 1))
+        assert p == k / (b + 1) and 1 <= k <= b + 1
+        assert sum(drawn) == b and max(drawn) <= stats.PERM_BLOCK
+
+    @pytest.mark.parametrize("name", ["independent", "weak", "three_values"])
+    def test_statistic_is_factorization_stat(self, name):
+        w1, w2 = _datasets()[name]
+        res = permutation_independence_test((w1, w2), LEVELS4, b=99, seed=0)
+        assert res.statistic == factorization_stat((w1, w2), LEVELS4)
 
 
 class TestPseudoUniformsAndChi:
