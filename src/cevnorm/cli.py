@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import operator
 import os
 import sys
@@ -96,6 +97,8 @@ def _require(block: dict, path: str, allowed: dict):
         is_bool = isinstance(val, bool)
         if typ is float and isinstance(val, (int, float)) and not is_bool:
             val = float(val)
+            if not math.isfinite(val):
+                raise ConfigError(f"{path}.{key}: expected a finite number, got {val!r}")
         elif typ is int and isinstance(val, int) and not is_bool:
             val = int(val)
         elif typ in (float, int) or not isinstance(val, typ) or (is_bool and typ is not bool):
@@ -104,6 +107,11 @@ def _require(block: dict, path: str, allowed: dict):
             )
         out[key] = val
     return out
+
+
+def _finite_number(val) -> bool:
+    """A JSON number other than NaN and Infinity, which json.load accepts."""
+    return isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
 
 
 def _parse_erv(block, path) -> ErvParams:
@@ -129,7 +137,7 @@ def _parse_levels(values, path):
         raise ConfigError(f"{path}: expected a non-empty list of probabilities")
     out = []
     for i, v in enumerate(values):
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0 < v < 1:
+        if not _finite_number(v) or not 0 < v < 1:
             raise ConfigError(f"{path}[{i}]: expected a probability in (0, 1)")
         out.append(float(v))
     if any(b <= a for a, b in zip(out, out[1:])):
@@ -181,8 +189,8 @@ class Config:
             raise ConfigError("run.t: must be >= 1")
         if r["t_list"] is not None:
             for i, t in enumerate(r["t_list"]):
-                if not isinstance(t, (int, float)) or isinstance(t, bool) or t < 1:
-                    raise ConfigError(f"run.t_list[{i}]: expected a number >= 1")
+                if not _finite_number(t) or t < 1:
+                    raise ConfigError(f"run.t_list[{i}]: expected a finite number >= 1")
             r["t_list"] = [float(t) for t in r["t_list"]]
         self.run = r
 
@@ -218,6 +226,11 @@ class Config:
                     raise ConfigError(
                         f"analysis.x_grid.{axis}: expected a non-empty list"
                     )
+                for i, v in enumerate(vals):
+                    if not _finite_number(v):
+                        raise ConfigError(
+                            f"analysis.x_grid.{axis}[{i}]: expected a finite number"
+                        )
                 a["x_grid"][axis] = [float(v) for v in vals]
         self.analysis = a
 
@@ -245,6 +258,8 @@ class Config:
                 raise ConfigError("data.conditioning_column: required")
             if not isinstance(d["value_columns"], list) or len(d["value_columns"]) != 2:
                 raise ConfigError("data.value_columns: expected a list of two names")
+            if not 0.0 < d["p_t"] < 1.0:
+                raise ConfigError(f"data.p_t: expected a probability in (0, 1), got {d['p_t']!r}")
             self.data = d
 
         self.resolved = {

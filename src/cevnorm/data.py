@@ -2,8 +2,9 @@
 
 Ingest a trivariate CSV, rank-transform the conditioning margin to the
 unit-Pareto scale, fit a norming pair plus noise law per conditioned
-coordinate above a threshold (pseudo-likelihood, Nelder-Mead with
-multi-start), and test the random-norming residuals for independence.
+coordinate above a threshold (pseudo-likelihood, profiled over rho on a
+grid and refined by bounded Brent), and test the random-norming
+residuals for independence.
 Conditional independence in the tail should make the residuals pass;
 fitting each coordinate separately is precisely the lower-dimensional
 shortcut conditional independence buys.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize_scalar
 
 from .models import FAMILIES, NoiseLaw
 from .norming import RHO_BRANCH_CUTOFF, ErvParams, alpha, beta
@@ -28,24 +29,13 @@ MIN_FIT_ROWS = 100
 MIN_EXCEEDANCES = 30
 
 RHO_BOUNDS = (-5.0, 1.0)
-KAPPA_BOUNDS = (-1e6, 1e6)
-LOC_BOUNDS = (-1e8, 1e8)
-SCALE_BOUNDS = (1e-8, 1e8)
-
-# fixed Latin-square pairing of (rho, kappa) starting points
-_RHO_STARTS = (-2.0, -1.0, -0.5, -0.1, 0.1, 0.3, 0.6, 0.9)
-_KAPPA_STARTS = (0.5, -1.0, 2.0, 0.0, 1.0, -0.5, 3.0, -2.0)
-N_STARTS = len(_RHO_STARTS)
-POLISH_MAXITER = 2000
-
-_EULER_GAMMA = 0.5772156649015329
-_UNIT_MOMENTS = {
-    # (mean, std) of the standardised family
-    "gaussian": (0.0, 1.0),
-    "gumbel": (_EULER_GAMMA, math.pi / math.sqrt(6.0)),
-    "logistic": (0.0, math.pi / math.sqrt(3.0)),
-    "uniform": (0.5, 1.0 / math.sqrt(12.0)),
-}
+# the profile likelihood is scanned over rho at spacing 0.1 before Brent
+# refines it; this grid is the fit's only multi-start
+RHO_GRID = np.linspace(*RHO_BOUNDS, 61)
+BRENT_XATOL = 1e-10
+NEWTON_MAXITER = 100
+NEWTON_TOL = 1e-12  # Newton decrement, in units of the log-likelihood
+MAX_BRACKET_STEPS = 200
 
 
 class DataError(ValueError):
@@ -53,7 +43,7 @@ class DataError(ValueError):
 
 
 class FitConvergenceError(RuntimeError):
-    """No multi-start reached convergence; carries per-start diagnostics."""
+    """No fit could be completed; carries per-grid-point diagnostics."""
 
     def __init__(self, message: str, diagnostics: list):
         super().__init__(message)
@@ -118,30 +108,41 @@ class FittedNorming:
 
 def load_csv(path, conditioning_column: str, value_columns: Sequence[str],
              delimiter: str = ",") -> Dataset:
-    """Load and clean a trivariate CSV; rows with non-numeric cells drop."""
+    """Load and clean a trivariate CSV.
+
+    Blank lines are skipped.  A row that is too short, holds a cell float()
+    rejects or holds a non-finite value is dropped and counted.  A repeated
+    header name resolves to its last column, as in csv.DictReader.
+    """
     if len(value_columns) != 2:
         raise ValueError("exactly two value columns are required")
     wanted = [conditioning_column, *value_columns]
     rows, dropped = [], 0
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh, delimiter=delimiter)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh, delimiter=delimiter)
+        index = {name: i for i, name in enumerate(next(reader, []))}
         for col in wanted:
-            if col not in header:
+            if col not in index:
                 raise DataError(f"column {col!r} not found in {path}")
-        for rec in reader:
+        i0, i1, i2 = (index[col] for col in wanted)
+        width = max(i0, i1, i2) + 1
+        for row in reader:
+            if not row:
+                continue
+            if len(row) < width:
+                dropped += 1
+                continue
             try:
-                vals = [float(rec[col]) for col in wanted]
-            except (TypeError, ValueError):
+                rows.append((float(row[i0]), float(row[i1]), float(row[i2])))
+            except ValueError:
                 dropped += 1
-                continue
-            if not all(math.isfinite(v) for v in vals):
-                dropped += 1
-                continue
-            rows.append(vals)
-    if not rows:
+    arr = np.array(rows, dtype=float).reshape(-1, 3)
+    finite = np.all(np.isfinite(arr), axis=1)
+    if not finite.all():
+        dropped += int(np.count_nonzero(~finite))
+        arr = arr[finite]
+    if not arr.shape[0]:
         raise DataError(f"{path}: no clean numeric rows")
-    arr = np.asarray(rows, dtype=float)
     return Dataset(columns=tuple(wanted), x0=arr[:, 0], y1=arr[:, 1],
                    y2=arr[:, 2], source=str(path), n=arr.shape[0],
                    n_dropped=dropped)
@@ -159,55 +160,205 @@ def to_pareto_margins(values) -> np.ndarray:
     return 1.0 / (1.0 - pseudo_uniforms(arr))
 
 
+def _normed(y, logx0, rho, kappa):
+    """z = (y - beta(x0))/alpha(x0) with a = 1.
+
+    The inner fits and the objective both standardise through this one
+    expression, so a uniform support fixed from z holds bit for bit when
+    the objective is evaluated.
+    """
+    rl = rho * logx0
+    if abs(rho) >= RHO_BRANCH_CUTOFF:
+        bta = kappa * np.expm1(rl) / rho
+    else:
+        bta = kappa * logx0
+    return (y - bta) * np.exp(-rl)
+
+
+def _log_density(s, family):
+    """Log-density of the standardised noise family at s."""
+    if family == "gaussian":
+        return -0.5 * s * s - 0.9189385332046727
+    if family == "gumbel":
+        return -s - np.exp(-s)
+    if family == "logistic":
+        t = np.abs(s)
+        return -t - 2.0 * np.log1p(np.exp(-t))
+    # uniform on [0, 1] in standardised units
+    return np.where((s >= 0.0) & (s <= 1.0), 0.0, -np.inf)
+
+
 def _neg_log_likelihood(theta, y, logx0, logalpha_base, family):
     rho, kappa, loc, scale = theta
     if scale <= 0:
         return 1e300
     with np.errstate(over="ignore", invalid="ignore"):
-        rl = rho * logx0
-        inv_alpha = np.exp(-rl)
-        if abs(rho) >= RHO_BRANCH_CUTOFF:
-            bta = kappa * np.expm1(rl) / rho
-        else:
-            bta = kappa * logx0
-        z = (y - bta) * inv_alpha
-        s = (z - loc) / scale
-        if family == "gaussian":
-            lp = -0.5 * s * s - 0.9189385332046727
-        elif family == "gumbel":
-            lp = -s - np.exp(-s)
-        elif family == "logistic":
-            t = np.abs(s)
-            lp = -t - 2.0 * np.log1p(np.exp(-t))
-        else:  # uniform on [0, 1] in standardised units
-            lp = np.where((s >= 0.0) & (s <= 1.0), 0.0, -np.inf)
+        s = (_normed(y, logx0, rho, kappa) - loc) / scale
         # Jacobian of y -> s: 1/(alpha(x0)*scale); sum log alpha = rho*sum log x0
-        nll = -np.sum(lp) + y.size * math.log(scale) + rho * logalpha_base
+        nll = (-np.sum(_log_density(s, family)) + y.size * math.log(scale)
+               + rho * logalpha_base)
     if not np.isfinite(nll):
         return 1e300
     return float(nll)
 
 
-def _moment_start(y, x0, rho0, kappa0, family):
-    erv = ErvParams(a=1.0, rho=rho0, kappa=kappa0)
-    z = (y - beta(erv, x0)) / alpha(erv, x0)
+def _dot(a, b):
+    # einsum, not BLAS: OpenBLAS threads a long ddot, and waking them costs
+    # milliseconds per call
+    return float(np.einsum("i,i->", a, b))
+
+
+def _least_squares(u, c):
+    """(kappa, loc, scale) of the Gaussian fit u = loc + kappa*c + scale*Z,
+    or None if c is constant."""
+    if not np.ptp(c) > 0:
+        return None
+    um, cm = u.mean(), c.mean()
+    du, dc = u - um, c - cm
+    kappa = _dot(dc, du) / _dot(dc, dc)
+    r = du - kappa * dc
+    return kappa, um - kappa * cm, math.sqrt(_dot(r, r) / u.size)
+
+
+def _min_range_slope(u, c, kappa):
+    """The kappa that minimises range(u - kappa*c), or None.
+
+    The range is convex and piecewise linear in kappa, with subgradient
+    c[argmin] - c[argmax]; bracket its sign change from the Gaussian kappa,
+    then bisect down to adjacent floats.
+    """
+    def slope(k):
+        r = u - k * c
+        return c[np.argmin(r)] - c[np.argmax(r)]
+
+    g = slope(kappa)
+    if g == 0:
+        return kappa
+    sign = 1.0 if g < 0 else -1.0  # towards the minimum
+    step = 1e-3 * (abs(kappa) + u.std() / c.std())
+    far = kappa
+    for _ in range(MAX_BRACKET_STEPS):
+        near, far = far, far + sign * step
+        step *= 2.0
+        if sign * slope(far) >= 0:
+            break
+    else:
+        return None
+    lo, hi = sorted((near, far))
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        g = slope(mid)
+        if g > 0:
+            hi = mid
+        elif g < 0:
+            lo = mid
+        else:
+            return mid
+    return lo if np.ptp(u - lo * c) <= np.ptp(u - hi * c) else hi
+
+
+def _score(s, family):
+    """First and second derivatives in s of the gumbel or logistic log-density."""
+    if family == "gumbel":
+        e = np.exp(-s)
+        return e - 1.0, -e
+    h = np.tanh(0.5 * s)
+    return -h, 0.5 * (h * h - 1.0)
+
+
+def _log_concave_fit(u, c, start, family):
+    """(kappa, loc, scale) maximising the gumbel or logistic likelihood of
+    u = loc + kappa*c + scale*Z, or None.
+
+    On the standardised columns M = (u', c', 1), s = theta @ M with
+    theta[0] = sd(u)/scale > 0.  The negative log-likelihood is convex in
+    theta, because both log-densities are concave: damped Newton from start.
+    """
+    n = u.size
+    um, cm, su, sc = u.mean(), c.mean(), u.std(), c.std()
+    M = np.stack([(u - um) / su, (c - cm) / sc, np.ones(n)])
+    kappa, loc, scale = start
+    theta = np.array([su, -kappa * sc, um - kappa * cm - loc]) / scale
+
+    def objective(th):
+        if not th[0] > 0:
+            return math.inf
+        val = -np.sum(_log_density(np.einsum("i,in->n", th, M), family)) - n * math.log(th[0])
+        return val if np.isfinite(val) else math.inf
+
+    f = objective(theta)
+    for _ in range(NEWTON_MAXITER):
+        d1, d2 = _score(np.einsum("i,in->n", theta, M), family)
+        grad = -np.einsum("in,n->i", M, d1)
+        grad[0] -= n / theta[0]
+        hess = -np.einsum("in,n,jn->ij", M, d2, M)
+        hess[0, 0] += n / theta[0] ** 2
+        try:
+            step = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError:
+            return None
+        decrement = -(grad @ step)
+        if not (np.isfinite(f) and np.isfinite(decrement)):
+            return None
+        if decrement <= NEWTON_TOL:
+            break
+        # backtrack to the minimum of the quadratic through f, its slope
+        # -decrement and f_new, kept within [t/10, t/2]
+        t = 1.0
+        while t >= 1e-10:
+            f_new = objective(theta + t * step)
+            excess = f_new - f + t * decrement
+            if f_new <= f - 0.25 * t * decrement:
+                break
+            t *= min(max(decrement * t / (2.0 * excess), 0.1), 0.5) if excess < math.inf else 0.1
+        else:
+            break  # no descent left above rounding
+        theta, f = theta + t * step, f_new
+    p, q, r = theta
+    scale = su / p
+    kappa = -q * scale / sc
+    return kappa, um - kappa * cm - r * scale, scale
+
+
+def _profile_point(y, logx0, rho, family):
+    """Inner fit at fixed rho: (kappa, loc, scale), or None where it is
+    singular or not finite.
+
+    y*x0**-rho = loc + kappa*c + scale*Z with c = (1 - x0**-rho)/rho,
+    or log x0 near rho = 0: a linear location-scale regression.
+    """
+    rl = rho * logx0
+    inv_alpha = np.exp(-rl)
+    u = y * inv_alpha
+    c = (np.expm1(rl) / rho if abs(rho) >= RHO_BRANCH_CUTOFF else logx0) * inv_alpha
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(c))):
+        return None
+    inner = _least_squares(u, c)
+    if inner is None or not (np.all(np.isfinite(inner)) and inner[2] > 0):
+        return None
     if family == "uniform":
-        span = max(float(np.ptp(z)), 1e-6)
-        return float(np.min(z)), span
-    mu_u, sd_u = _UNIT_MOMENTS[family]
-    sd = float(np.std(z))
-    scale0 = max(sd / sd_u, 1e-6)
-    loc0 = float(np.mean(z)) - mu_u * scale0
-    return loc0, scale0
+        kappa = _min_range_slope(u, c, inner[0])
+        if kappa is None:
+            return None
+        z = _normed(y, logx0, rho, kappa)
+        loc = float(np.min(z))
+        inner = (kappa, loc, float(np.max(z)) - loc)
+    elif family != "gaussian":
+        inner = _log_concave_fit(u, c, inner, family)
+    if inner is None or not (np.all(np.isfinite(inner)) and inner[2] > 0):
+        return None
+    return tuple(float(v) for v in inner)
 
 
 def fit_norming(y, x0, family: str = "gaussian") -> NormingFit:
     """Fit y = beta(x0) + alpha(x0)*(loc + scale*Z) by pseudo-likelihood.
 
-    x0 must already be on the unit-Pareto exceedance scale.  Derivative-
-    free simplex search from a fixed Latin-square of (rho, kappa) starts
-    with moment-matched (loc, scale); the best converged optimum wins,
-    ties broken by start index.
+    x0 must already be on the unit-Pareto exceedance scale.  For fixed
+    rho the fit is a linear location-scale regression, solved in closed
+    form (gaussian), by a 1-D convex search (uniform) or by damped Newton
+    (gumbel, logistic).  The profile likelihood over rho is scanned on
+    RHO_GRID, then minimised by bounded Brent between the neighbours of
+    the best grid point; the best point evaluated wins.
 
     The likelihood is exactly flat along a rescaling of (a, loc, scale),
     so a is pinned at 1 and scale carries the spread of alpha(x0)*Z.
@@ -227,46 +378,36 @@ def fit_norming(y, x0, family: str = "gaussian") -> NormingFit:
 
     logx0 = np.log(x0)
     logalpha_base = float(np.sum(logx0))
-    bounds = [RHO_BOUNDS, KAPPA_BOUNDS, LOC_BOUNDS, SCALE_BOUNDS]
+    evaluated = []  # (objective, rho, kappa, loc, scale)
 
-    # stage 1: short simplex runs from every start; stage 2: polish the best,
-    # ties broken by start index (minimize keeps the first strict improvement)
-    coarse, diagnostics, total_nit = None, [], 0
-    for idx, (rho0, kappa0) in enumerate(zip(_RHO_STARTS, _KAPPA_STARTS)):
-        loc0, scale0 = _moment_start(y, x0, rho0, kappa0, family)
-        loc0 = float(np.clip(loc0, *LOC_BOUNDS))
-        scale0 = float(np.clip(scale0, *SCALE_BOUNDS))
-        res = minimize(
-            _neg_log_likelihood, np.array([rho0, kappa0, loc0, scale0]),
-            args=(y, logx0, logalpha_base, family),
-            method="Nelder-Mead", bounds=bounds,
-            options={"maxiter": 150, "xatol": 1e-3, "fatol": 1e-4},
-        )
-        total_nit += int(res.nit)
-        diagnostics.append({"start": idx, "fun": float(res.fun),
-                            "nit": int(res.nit), "success": bool(res.success)})
-        if coarse is None or res.fun < coarse.fun:
-            coarse = res
-    best = minimize(
-        _neg_log_likelihood, coarse.x,
-        args=(y, logx0, logalpha_base, family),
-        method="Nelder-Mead", bounds=bounds,
-        options={"maxiter": POLISH_MAXITER, "xatol": 1e-6, "fatol": 1e-8},
-    )
-    total_nit += int(best.nit)
-    diagnostics.append({"start": "polish", "fun": float(best.fun),
-                        "nit": int(best.nit), "success": bool(best.success)})
-    if not (best.success and np.isfinite(best.fun) and best.fun < 1e299):
+    def profile(rho):
+        with np.errstate(all="ignore"):
+            inner = _profile_point(y, logx0, rho, family)
+        nll = math.inf
+        if inner is not None:
+            nll = _neg_log_likelihood((rho, *inner), y, logx0, logalpha_base, family)
+            if nll >= 1e300:
+                nll = math.inf
+            evaluated.append((nll, rho, *inner))
+        return nll
+
+    grid = [profile(float(rho)) for rho in RHO_GRID]
+    i = int(np.argmin(grid))
+    if not math.isfinite(grid[i]):
         raise FitConvergenceError(
-            f"polish stage failed to converge after {N_STARTS} restarts",
-            diagnostics,
+            f"{family} profile likelihood is not finite at any of the "
+            f"{RHO_GRID.size} grid points in rho",
+            [{"rho": float(rho), "objective": None} for rho in RHO_GRID],
         )
-    rho, kappa, loc, scale = (float(v) for v in best.x)
+    bracket = (float(RHO_GRID[max(i - 1, 0)]), float(RHO_GRID[min(i + 1, RHO_GRID.size - 1)]))
+    res = minimize_scalar(profile, bounds=bracket, method="bounded",
+                          options={"xatol": BRENT_XATOL})
+    nll, rho, kappa, loc, scale = min(evaluated, key=lambda e: e[0])
     return NormingFit(
         erv=ErvParams(a=1.0, rho=rho, kappa=kappa),
         noise=NoiseLaw(family=family, location=loc, scale=scale),
-        iterations=total_nit, converged=True,
-        objective=float(best.fun), n_starts=N_STARTS,
+        iterations=RHO_GRID.size + int(res.nfev), converged=bool(res.success),
+        objective=nll, n_starts=RHO_GRID.size,
     )
 
 

@@ -103,8 +103,11 @@ def draw_exceedances(
         lo, hi = chunk
         u = _row_uniforms(seed, stream, lo, hi)
         u = np.maximum(u, 2.0**-53)
-        x0 = pareto_exceedance_from_uniform(t, u[:, 0])
-        x1, x2 = conditional_from_uniforms(model, x0, u[:, 1], u[:, 2])
+        # numpy's error state does not reach pool threads, so set it here;
+        # rows that overflow are counted and raised on below
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            x0 = pareto_exceedance_from_uniform(t, u[:, 0])
+            x1, x2 = conditional_from_uniforms(model, x0, u[:, 1], u[:, 2])
         bad = np.count_nonzero(~(np.isfinite(x0) & np.isfinite(x1) & np.isfinite(x2)))
         return x0, x1, x2, bad
 

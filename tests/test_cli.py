@@ -66,6 +66,31 @@ class TestConfigValidation:
         assert code == EXIT_CONFIG
         assert "model.erv1.rho" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, block, field", [
+        ("verify-rn", {"analysis": {"thresholds": {"level": float("nan")}}},
+         "analysis.thresholds.level"),
+        ("simulate", {"run": {"t": float("inf")}}, "run.t"),
+        ("simulate", {"run": {"t_list": [2.0, float("nan")]}}, "run.t_list[1]"),
+        ("simulate", {"model": {"perturbation": float("-inf")}}, "model.perturbation"),
+        ("limit-h", {"analysis": {"x_grid": {"x1": [0.0, float("nan")], "x2": [0.0]}}},
+         "analysis.x_grid.x1[1]"),
+        ("diagnose", {"data": {"path": "absent.csv", "conditioning_column": "x0",
+                               "value_columns": ["x1", "x2"], "p_t": 1.5}}, "data.p_t"),
+        ("diagnose", {"data": {"path": "absent.csv", "conditioning_column": "x0",
+                               "value_columns": ["x1", "x2"], "p_t": float("nan")}},
+         "data.p_t"),
+    ])
+    def test_non_finite_or_out_of_range_exits_2_before_work(self, tmp_path, capsys,
+                                                            command, block, field):
+        out = tmp_path / "out"
+        cfg = {"model": CANONICAL, "io": {"output_dir": str(out)}}
+        for key, val in block.items():
+            cfg[key] = {**cfg.get(key, {}), **val}
+        # json.dumps writes NaN and Infinity, which json.load reads back
+        assert run(command, write_config(tmp_path, cfg)) == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = {"model": {"ervX": {}}, "io": {"output_dir": str(tmp_path)}}
         assert run("simulate", write_config(tmp_path, cfg)) == EXIT_CONFIG
@@ -460,6 +485,14 @@ class TestDiagnose:
         assert abs(rep["metrics"]["rho1"] - 0.5) < 0.35  # small-sample fit
         assert (tmp_path / "fitted_norming.json").exists()
         assert (tmp_path / "residuals.csv").exists()
+
+    def test_uniform_noise_fits(self, tmp_path):
+        data_path = self._data_csv(tmp_path, make_model(family="uniform"), n=2 * 10**4)
+        cfg = self._cfg(tmp_path, data_path, family="uniform")
+        assert run("diagnose", write_config(tmp_path, cfg)) == EXIT_PASS
+        rep = read_report(tmp_path, "diagnose")
+        assert abs(rep["metrics"]["rho1"] - 0.5) < 0.1
+        assert abs(rep["metrics"]["rho2"] - 0.5) < 0.1
 
     def test_negative_control_detected(self, tmp_path):
         model = make_model(negative_control=True)

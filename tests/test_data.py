@@ -1,14 +1,17 @@
 """Tests for the data pipeline: CSV ingestion, Pareto margins,
 pseudo-likelihood norming fits, and the residual diagnostic."""
 
+import csv
 import json
 import math
 
 import numpy as np
 import pytest
 
+import cevnorm.data as data_mod
 from cevnorm.data import (
     MIN_EXCEEDANCES,
+    RHO_GRID,
     DataError,
     Dataset,
     FitConvergenceError,
@@ -30,6 +33,23 @@ def write_file(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def dictreader_reference(path, wanted, delimiter=","):
+    """The csv.DictReader loader load_csv replaced: clean rows and drop count."""
+    rows, dropped = [], 0
+    with open(path, newline="") as fh:
+        for rec in csv.DictReader(fh, delimiter=delimiter):
+            try:
+                vals = [float(rec[col]) for col in wanted]
+            except (TypeError, ValueError):
+                dropped += 1
+                continue
+            if not all(math.isfinite(v) for v in vals):
+                dropped += 1
+                continue
+            rows.append(vals)
+    return np.asarray(rows, dtype=float).reshape(-1, 3), dropped
 
 
 def simulated_dataset(model, n, seed, stream=0):
@@ -75,6 +95,23 @@ class TestLoadCsv:
         path = write_file(tmp_path, "a,b,c\nx,y,z\n")
         with pytest.raises(ValueError):
             load_csv(path, "a", ["b", "c"])
+
+    @pytest.mark.parametrize("text, delimiter", [
+        ("a,b,c\n1,2,3\n\n4,5,6\n\n", ","),  # blank lines
+        ("a,b,c\n1,2\n4,5,6\n7\n", ","),  # short rows
+        ("a,b,c\n1,2,3,99,100\n4,5,6,x\n", ","),  # extra fields
+        ('a,b,c\n"1","2","3"\n"4,5",6,7\n" 8 ",9,10\n', ","),  # quoted cells
+        ("a,b,a,c\n1,2,3,4\n5,6,7\n8,9,10,11\n", ","),  # repeated header name
+        ("a,b,c,d\n1,2,3\n4,5,6,7\ninf,1,2,3\n", ","),  # wanted columns before d
+        ("a;b;c\n1;2;3\n4,5,6\n\n7;8;nan\n9;10;11\n", ";"),
+    ])
+    def test_matches_dictreader_reference(self, tmp_path, text, delimiter):
+        path = write_file(tmp_path, text)
+        wanted = ["a", "b", "c"]
+        expected, dropped = dictreader_reference(path, wanted, delimiter)
+        ds = load_csv(path, "a", ["b", "c"], delimiter=delimiter)
+        np.testing.assert_array_equal(np.column_stack([ds.x0, ds.y1, ds.y2]), expected)
+        assert ds.n_dropped == dropped
 
     def test_wrong_value_column_count(self, tmp_path):
         path = write_file(tmp_path, "a,b,c\n1,2,3\n")
@@ -129,6 +166,59 @@ class TestFitNorming:
                 np.array([0.5, 1.0, 0.0, 1.0]), s.x1, logx0,
                 float(np.sum(logx0)), "gaussian")
             assert fit.objective <= truth + 1e-6
+
+    @pytest.mark.parametrize("family", ["gumbel", "logistic", "uniform"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_recovers_rho_per_family(self, family, seed):
+        s = draw_exceedances(make_model(family=family), 20.0, 2 * 10**4, seed)
+        fit = fit_norming(s.x1, s.x0, family)
+        assert fit.converged and fit.noise.family == family
+        assert abs(fit.erv.rho - 0.5) < 0.1
+        logx0 = np.log(s.x0)
+        truth = data_mod._neg_log_likelihood(
+            (0.5, 1.0, 0.0, 1.0), s.x1, logx0, float(np.sum(logx0)), family)
+        assert fit.objective <= truth + 1e-6
+
+    def test_uniform_inner_fit_matches_brute_force(self, rng):
+        # the range of u - kappa*c is minimised at a slope through two points
+        c = rng.random(40)
+        u = 2.0 * c + rng.random(40)
+        kappa = data_mod._min_range_slope(u, c, 0.0)
+        i, j = np.triu_indices(40, 1)
+        best = min(np.ptp(u - k * c) for k in (u[i] - u[j]) / (c[i] - c[j]))
+        assert np.ptp(u - kappa * c) <= best * (1 + 1e-12)
+
+    @pytest.mark.parametrize("family", ["gaussian", "gumbel", "logistic", "uniform"])
+    def test_inner_fit_no_worse_than_simplex(self, family):
+        # at fixed rho, a tight Nelder-Mead from the truth is the reference
+        from scipy.optimize import minimize
+        s = draw_exceedances(make_model(family=family), 20.0, 2000, 5)
+        logx0 = np.log(s.x0)
+        base = float(np.sum(logx0))
+
+        def nll(theta):
+            return data_mod._neg_log_likelihood((0.5, *theta), s.x1, logx0, base, family)
+
+        inner = data_mod._profile_point(s.x1, logx0, 0.5, family)
+        ref = minimize(nll, [1.0, 0.0, 1.0], method="Nelder-Mead",
+                       options={"xatol": 1e-10, "fatol": 1e-10, "maxiter": 10**4})
+        assert nll(inner) <= ref.fun + 1e-6
+
+    def test_fit_is_a_minimum_of_the_profile(self, canonical_model):
+        s = draw_exceedances(canonical_model, 20.0, 10**4, 4)
+        fit = fit_norming(s.x1, s.x0, "gaussian")
+        logx0 = np.log(s.x0)
+        for rho in (fit.erv.rho - 1e-4, fit.erv.rho + 1e-4):
+            inner = data_mod._profile_point(s.x1, logx0, rho, "gaussian")
+            assert data_mod._neg_log_likelihood(
+                (rho, *inner), s.x1, logx0, float(np.sum(logx0)), "gaussian") > fit.objective
+
+    def test_no_finite_grid_point_raises_with_diagnostics(self, rng):
+        # a constant x0 leaves kappa unidentified at every rho
+        with pytest.raises(FitConvergenceError) as info:
+            fit_norming(rng.normal(size=50), np.full(50, 2.0))
+        assert len(info.value.diagnostics) == RHO_GRID.size
+        assert all(d["objective"] is None for d in info.value.diagnostics)
 
     def test_preconditions(self, rng):
         y = rng.normal(size=MIN_EXCEEDANCES - 1)

@@ -3,6 +3,7 @@ sample serialization."""
 
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +102,13 @@ class TestDrawExceedances:
                 assert other == outcomes[0]
             else:
                 np.testing.assert_array_equal(other, outcomes[0])
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_overflow_raises_without_warnings(self, threads):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="rows are not finite"):
+                draw_exceedances(OVERFLOW_MODEL, 1.0, CHUNK_ROWS + 1, 0, threads=threads)
 
     def test_all_rows_exceed_threshold(self, canonical_model):
         s = draw_exceedances(canonical_model, 30.0, 10**4, 3)
