@@ -5,7 +5,7 @@ preserved under random norming but generally not under deterministic
 norming, and applies the same machinery as a tail diagnostic on data.
 """
 
-from .norming import ErvParams, alpha, beta, limit_shift, psi
+from .norming import ErvParams, alpha, beta, limit_shift, normed, psi
 from .models import (
     CiModel,
     NoiseLaw,
@@ -32,7 +32,6 @@ from .stats import (
     Ecdf,
     TestResult,
     chi_hat,
-    ecdf_eval,
     factorization_stat,
     ks_distance,
     permutation_independence_test,

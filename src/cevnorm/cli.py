@@ -109,9 +109,16 @@ def _require(block: dict, path: str, allowed: dict):
     return out
 
 
-def _finite_number(val) -> bool:
-    """A JSON number other than NaN and Infinity, which json.load accepts."""
-    return isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
+def _number_list(values, path: str, expected: str, ok=lambda v: True) -> list:
+    """A non-empty list of finite JSON numbers that each pass ok, as floats;
+    json.load's NaN and Infinity fail, and an element fails by its index."""
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"{path}: expected a non-empty list, each {expected}")
+    for i, v in enumerate(values):
+        if not (isinstance(v, (int, float)) and not isinstance(v, bool)
+                and math.isfinite(v) and ok(v)):
+            raise ConfigError(f"{path}[{i}]: expected {expected}")
+    return [float(v) for v in values]
 
 
 def _parse_erv(block, path) -> ErvParams:
@@ -133,13 +140,7 @@ def _parse_noise(block, path) -> NoiseLaw:
 
 
 def _parse_levels(values, path):
-    if not isinstance(values, list) or not values:
-        raise ConfigError(f"{path}: expected a non-empty list of probabilities")
-    out = []
-    for i, v in enumerate(values):
-        if not _finite_number(v) or not 0 < v < 1:
-            raise ConfigError(f"{path}[{i}]: expected a probability in (0, 1)")
-        out.append(float(v))
+    out = _number_list(values, path, "a probability in (0, 1)", lambda v: 0 < v < 1)
     if any(b <= a for a, b in zip(out, out[1:])):
         raise ConfigError(f"{path}: levels must be strictly increasing")
     return out
@@ -188,10 +189,8 @@ class Config:
         if r["t"] < 1:
             raise ConfigError("run.t: must be >= 1")
         if r["t_list"] is not None:
-            for i, t in enumerate(r["t_list"]):
-                if not _finite_number(t) or t < 1:
-                    raise ConfigError(f"run.t_list[{i}]: expected a finite number >= 1")
-            r["t_list"] = [float(t) for t in r["t_list"]]
+            r["t_list"] = _number_list(r["t_list"], "run.t_list",
+                                       "a finite number >= 1", lambda t: t >= 1)
         self.run = r
 
         a = _require(top["analysis"], "analysis", {
@@ -221,17 +220,8 @@ class Config:
                 "x1": (list, None), "x2": (list, None),
             })
             for axis in ("x1", "x2"):
-                vals = a["x_grid"][axis]
-                if not isinstance(vals, list) or not vals:
-                    raise ConfigError(
-                        f"analysis.x_grid.{axis}: expected a non-empty list"
-                    )
-                for i, v in enumerate(vals):
-                    if not _finite_number(v):
-                        raise ConfigError(
-                            f"analysis.x_grid.{axis}[{i}]: expected a finite number"
-                        )
-                a["x_grid"][axis] = [float(v) for v in vals]
+                a["x_grid"][axis] = _number_list(
+                    a["x_grid"][axis], f"analysis.x_grid.{axis}", "a finite number")
         self.analysis = a
 
         self.io = _require(top["io"], "io", {
@@ -281,13 +271,11 @@ class Config:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
         cfg = cls(raw)
-        # flags win over file keys
+        # flags win over file keys; resolved holds these same dicts
         if seed is not None:
             cfg.run["seed"] = seed
-            cfg.resolved["run"]["seed"] = seed
         if out is not None:
             cfg.io["output_dir"] = str(out)
-            cfg.resolved["io"]["output_dir"] = str(out)
         return cfg
 
     def hash(self) -> str:

@@ -16,13 +16,14 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .models import FAMILIES, NoiseLaw
-from .norming import RHO_BRANCH_CUTOFF, ErvParams, alpha, beta
+from .norming import ErvParams, normed, normed_log, normed_terms
 from .stats import TestResult, permutation_independence_test, pseudo_uniforms
 
 MIN_FIT_ROWS = 100
@@ -59,6 +60,11 @@ class Dataset:
     source: str
     n: int
     n_dropped: int
+
+    @cached_property
+    def x0_pareto(self) -> np.ndarray:
+        """The conditioning margin on the unit-Pareto scale, ranked once."""
+        return to_pareto_margins(self.x0)
 
 
 @dataclass(frozen=True)
@@ -160,21 +166,6 @@ def to_pareto_margins(values) -> np.ndarray:
     return 1.0 / (1.0 - pseudo_uniforms(arr))
 
 
-def _normed(y, logx0, rho, kappa):
-    """z = (y - beta(x0))/alpha(x0) with a = 1.
-
-    The inner fits and the objective both standardise through this one
-    expression, so a uniform support fixed from z holds bit for bit when
-    the objective is evaluated.
-    """
-    rl = rho * logx0
-    if abs(rho) >= RHO_BRANCH_CUTOFF:
-        bta = kappa * np.expm1(rl) / rho
-    else:
-        bta = kappa * logx0
-    return (y - bta) * np.exp(-rl)
-
-
 def _log_density(s, family):
     """Log-density of the standardised noise family at s."""
     if family == "gaussian":
@@ -193,8 +184,11 @@ def _neg_log_likelihood(theta, y, logx0, logalpha_base, family):
     if scale <= 0:
         return 1e300
     with np.errstate(over="ignore", invalid="ignore"):
-        s = (_normed(y, logx0, rho, kappa) - loc) / scale
-        # Jacobian of y -> s: 1/(alpha(x0)*scale); sum log alpha = rho*sum log x0
+        # the uniform inner fit takes its support from this same map, so
+        # that support holds bit for bit here
+        s = (normed_log(y, logx0, rho, kappa) - loc) / scale
+        # Jacobian of y -> s: x0**-rho/scale, whose log sums to
+        # -rho*sum log x0 - n*log scale
         nll = (-np.sum(_log_density(s, family)) + y.size * math.log(scale)
                + rho * logalpha_base)
     if not np.isfinite(nll):
@@ -324,13 +318,11 @@ def _profile_point(y, logx0, rho, family):
     """Inner fit at fixed rho: (kappa, loc, scale), or None where it is
     singular or not finite.
 
-    y*x0**-rho = loc + kappa*c + scale*Z with c = (1 - x0**-rho)/rho,
-    or log x0 near rho = 0: a linear location-scale regression.
+    y*x0**-rho = loc + kappa*c + scale*Z with c = (1 - x0**-rho)/rho:
+    a linear location-scale regression.
     """
-    rl = rho * logx0
-    inv_alpha = np.exp(-rl)
-    u = y * inv_alpha
-    c = (np.expm1(rl) / rho if abs(rho) >= RHO_BRANCH_CUTOFF else logx0) * inv_alpha
+    w, c = normed_terms(logx0, rho)
+    u = y * w
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(c))):
         return None
     inner = _least_squares(u, c)
@@ -340,7 +332,7 @@ def _profile_point(y, logx0, rho, family):
         kappa = _min_range_slope(u, c, inner[0])
         if kappa is None:
             return None
-        z = _normed(y, logx0, rho, kappa)
+        z = normed_log(y, logx0, rho, kappa)
         loc = float(np.min(z))
         inner = (kappa, loc, float(np.max(z)) - loc)
     elif family != "gaussian":
@@ -351,7 +343,7 @@ def _profile_point(y, logx0, rho, family):
 
 
 def fit_norming(y, x0, family: str = "gaussian") -> NormingFit:
-    """Fit y = beta(x0) + alpha(x0)*(loc + scale*Z) by pseudo-likelihood.
+    """Fit normed(y, x0, erv) = loc + scale*Z by pseudo-likelihood.
 
     x0 must already be on the unit-Pareto exceedance scale.  For fixed
     rho the fit is a linear location-scale regression, solved in closed
@@ -361,7 +353,7 @@ def fit_norming(y, x0, family: str = "gaussian") -> NormingFit:
     the best grid point; the best point evaluated wins.
 
     The likelihood is exactly flat along a rescaling of (a, loc, scale),
-    so a is pinned at 1 and scale carries the spread of alpha(x0)*Z.
+    so a is pinned at 1 and scale carries the spread of a*Z.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown noise family {family!r}")
@@ -419,7 +411,7 @@ def tail_exceedances(dataset: Dataset, p_t: float):
         raise ValueError(
             f"need at least {MIN_FIT_ROWS} clean rows for fitting, got {dataset.n}"
         )
-    x0p = to_pareto_margins(dataset.x0)
+    x0p = dataset.x0_pareto
     keep = x0p > 1.0 / (1.0 - p_t)
     return x0p[keep], dataset.y1[keep], dataset.y2[keep]
 
@@ -443,8 +435,7 @@ def residuals(dataset: Dataset, fits: FittedNorming):
     x0p, y1, y2 = tail_exceedances(dataset, fits.p_t)
     out = []
     for y, fit in ((y1, fits.fit1), (y2, fits.fit2)):
-        z = (y - beta(fit.erv, x0p)) / alpha(fit.erv, x0p)
-        out.append((z - fit.noise.location) / fit.noise.scale)
+        out.append((normed(y, x0p, fit.erv) - fit.noise.location) / fit.noise.scale)
     return out[0], out[1]
 
 

@@ -23,7 +23,7 @@ from scipy.integrate import tanhsinh
 from scipy.optimize.elementwise import bracket_root, find_root
 
 from .models import CiModel, noise_cdf
-from .norming import RHO_BRANCH_CUTOFF, limit_shift
+from .norming import limit_shift, limit_shift_inverse
 from .stats import DEFAULT_LEVELS
 
 # tanh-sinh nodes near u = 0 can be subnormal, where 1/u overflows
@@ -70,20 +70,14 @@ def _kinks(model: CiModel, i: int, x) -> list:
     """Points u in (0, 1) where factor i has a kink; 1.0 where it has none.
 
     Only uniform noise has kinks: where the shifted argument crosses
-    either end c of the support.  With w = u**rho the argument is
-    w*(x + k/rho) - k/rho, or x + k*log(u) at rho = 0.
+    either end of the support.
     """
-    noise, erv = model.noise(i), model.erv(i)
+    noise = model.noise(i)
     if noise.family != "uniform":
         return []
-    rho, k = erv.rho, erv.kappa_eff
     out = []
-    for c in (noise.location, noise.location + noise.scale):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if abs(rho) >= RHO_BRANCH_CUTOFF:
-                u = ((c + k / rho) / (x + k / rho)) ** (1.0 / rho)
-            else:
-                u = np.exp((c - x) / k)
+    for end in (noise.location, noise.location + noise.scale):
+        u = limit_shift_inverse(x, end, model.erv(i))
         out.append(np.where((u > 0.0) & (u < 1.0), u, 1.0))
     return out
 
@@ -166,8 +160,6 @@ class GapResult:
 
     gap: float
     argmax: tuple
-    x1_grid: tuple
-    x2_grid: tuple
     table: tuple = field(repr=False, default=())  # rows (x1, x2, H, H1H2, diff)
 
 
@@ -185,7 +177,6 @@ def gap_on_grid(model: CiModel, x1s, x2s,
     table = np.stack([a, b, h, prod, diff], axis=-1).reshape(-1, 5)
     return GapResult(gap=float(abs(diff[k1, k2])),
                      argmax=(float(x1s[k1]), float(x2s[k2])),
-                     x1_grid=tuple(x1s.tolist()), x2_grid=tuple(x2s.tolist()),
                      table=tuple(map(tuple, table.tolist())))
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, logit, ndtr, ndtri
 
-from .norming import ErvParams, alpha, beta, limit_shift
+from .norming import ErvParams, alpha, beta, limit_shift, normed
 
 FAMILIES = ("gaussian", "gumbel", "logistic", "uniform")
 
@@ -108,17 +108,6 @@ class CiModel:
             "negative_control": self.negative_control,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CiModel":
-        return cls(
-            erv1=ErvParams(**d["erv1"]),
-            erv2=ErvParams(**d["erv2"]),
-            noise1=NoiseLaw(**d["noise1"]),
-            noise2=NoiseLaw(**d["noise2"]),
-            perturbation=d.get("perturbation", 0.0),
-            negative_control=d.get("negative_control", False),
-        )
-
     def content_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
@@ -158,9 +147,8 @@ def kernel_cdf(model: CiModel, i: int, x0, y):
     x0 = np.asarray(x0, dtype=float)
     if np.any(x0 <= 0):
         raise ValueError("x0 must be positive")
-    erv, noise = model.erv(i), model.noise(i)
-    s = (np.asarray(y, dtype=float) - beta(erv, x0)) / alpha(erv, x0)
-    return noise_cdf(noise, s - model.perturbation / x0)
+    s = normed(y, x0, model.erv(i))
+    return noise_cdf(model.noise(i), s - model.perturbation / x0)
 
 
 def theoretical_Gv(model: CiModel, i: int, v, x):

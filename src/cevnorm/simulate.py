@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import CiModel, conditional_from_uniforms, pareto_exceedance_from_uniform
-from .norming import alpha, beta
+from .norming import normed
 
 CHUNK_ROWS = 1 << 16
-MAX_ROWS_DEFAULT = 50_000_000
+MAX_ROWS = 50_000_000  # row budget of one draw
 
 _MAGIC = b"CEVNSMP1"  # 8 bytes; header is magic + u32 version + u32 kind
 
@@ -48,9 +48,6 @@ class ExceedanceSample:
     seed: int
     model_id: str
     stream: int = 0
-
-    def rows(self) -> np.ndarray:
-        return np.column_stack([self.x0, self.x1, self.x2])
 
 
 @dataclass(frozen=True)
@@ -81,7 +78,6 @@ def draw_exceedances(
     n: int,
     seed: int,
     threads: int = 1,
-    max_rows: int = MAX_ROWS_DEFAULT,
     stream: int = 0,
 ) -> ExceedanceSample:
     """Draw n i.i.d. triples from the conditional law given X0 > t.
@@ -94,8 +90,8 @@ def draw_exceedances(
         raise ValueError("t must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > max_rows:
-        raise CapacityError(f"n={n} exceeds the row budget of {max_rows}")
+    if n > MAX_ROWS:
+        raise CapacityError(f"n={n} exceeds the row budget of {MAX_ROWS}")
 
     bounds = [(lo, min(lo + CHUNK_ROWS, n)) for lo in range(0, n, CHUNK_ROWS)]
 
@@ -129,30 +125,25 @@ def draw_exceedances(
     )
 
 
-def _check_match(sample: ExceedanceSample, model: CiModel):
+def _normed_sample(sample: ExceedanceSample, model: CiModel, t, mode: str) -> NormedSample:
     if sample.model_id != model.content_hash():
         raise ModelMismatchError(
             f"sample was drawn from model {sample.model_id}, "
             f"got model {model.content_hash()}"
         )
+    return NormedSample(w1=normed(sample.x1, t, model.erv1), w2=normed(sample.x2, t, model.erv2),
+                        mode=mode, t=sample.t, n=sample.n, seed=sample.seed,
+                        model_id=sample.model_id)
 
 
 def apply_random_norming(sample: ExceedanceSample, model: CiModel) -> NormedSample:
-    """Norm each row by the realised conditioning value: w_i = (x_i - beta_i(x0))/alpha_i(x0)."""
-    _check_match(sample, model)
-    w1 = (sample.x1 - beta(model.erv1, sample.x0)) / alpha(model.erv1, sample.x0)
-    w2 = (sample.x2 - beta(model.erv2, sample.x0)) / alpha(model.erv2, sample.x0)
-    return NormedSample(w1=w1, w2=w2, mode="random", t=sample.t,
-                        n=sample.n, seed=sample.seed, model_id=sample.model_id)
+    """Norm each row by the realised conditioning value: w_i = normed(x_i, x0)."""
+    return _normed_sample(sample, model, sample.x0, "random")
 
 
 def apply_deterministic_norming(sample: ExceedanceSample, model: CiModel) -> NormedSample:
-    """Norm each row by the level only: w_i = (x_i - beta_i(t))/alpha_i(t)."""
-    _check_match(sample, model)
-    w1 = (sample.x1 - beta(model.erv1, sample.t)) / alpha(model.erv1, sample.t)
-    w2 = (sample.x2 - beta(model.erv2, sample.t)) / alpha(model.erv2, sample.t)
-    return NormedSample(w1=w1, w2=w2, mode="deterministic", t=sample.t,
-                        n=sample.n, seed=sample.seed, model_id=sample.model_id)
+    """Norm each row by the level only: w_i = normed(x_i, t)."""
+    return _normed_sample(sample, model, sample.t, "deterministic")
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from scipy.stats import random_table, rankdata
 from .simulate import NormedSample
 
 DEFAULT_LEVELS = tuple(round(0.05 * k, 2) for k in range(1, 20))
-BRUTE_FORCE_MAX_N = 2000
+MIN_CHI_EXCEEDANCES = 50  # conditioning rows chi_hat needs above p
 PERM_BLOCK = 64  # null tables drawn per call; bounds memory, not results
 
 
@@ -36,11 +36,6 @@ class TestResult:
     n: int
     b: int
     seed: int
-
-
-def ecdf_eval(e: Ecdf, x):
-    """(# values <= x) / n via binary search."""
-    return np.searchsorted(e.sorted_values, x, side="right") / e.n
 
 
 def ks_distance(e: Ecdf, F: Callable) -> float:
@@ -99,13 +94,10 @@ def joint_ecdf(pairs, g1, g2) -> np.ndarray:
     return _joint_cdf(cells, w1.size)[:-1, :-1]
 
 
-def factorization_stat(pairs, levels: Sequence[float] = DEFAULT_LEVELS,
-                       grid: str = "levels") -> float:
+def factorization_stat(pairs, levels: Sequence[float] = DEFAULT_LEVELS) -> float:
     """Empirical factorization distance max |F12 - F1*F2| over a grid.
 
-    grid="levels" evaluates at the empirical marginal quantiles of the
-    given levels; grid="full" sweeps all n^2 sample cells (n <= 2000),
-    kept as a brute-force oracle.
+    The grid is the empirical marginal quantiles of the given levels.
     """
     w1, w2 = _pairs(pairs)
     n = w1.size
@@ -113,18 +105,11 @@ def factorization_stat(pairs, levels: Sequence[float] = DEFAULT_LEVELS,
         raise ValueError("need at least 10 pairs")
     if np.all(w1 == w1[0]) or np.all(w2 == w2[0]):
         raise ValueError("degenerate sample: a coordinate is constant")
-    if grid == "full":
-        if n > BRUTE_FORCE_MAX_N:
-            raise ValueError(f"brute-force grid limited to n <= {BRUTE_FORCE_MAX_N}")
-        g1, g2 = np.sort(w1), np.sort(w2)
-    elif grid == "levels":
-        lv = np.asarray(levels, dtype=float)
-        if lv.size == 0 or np.any(lv <= 0) or np.any(lv >= 1):
-            raise ValueError("levels must be non-empty and inside (0, 1)")
-        g1 = np.quantile(w1, lv)
-        g2 = np.quantile(w2, lv)
-    else:
-        raise ValueError(f"unknown grid mode {grid!r}")
+    lv = np.asarray(levels, dtype=float)
+    if lv.size == 0 or np.any(lv <= 0) or np.any(lv >= 1):
+        raise ValueError("levels must be non-empty and inside (0, 1)")
+    g1 = np.quantile(w1, lv)
+    g2 = np.quantile(w2, lv)
     cells = _cell_table(_cell_indices(w1, g1), _cell_indices(w2, g2), g1.size)
     return float(_table_stats(cells, n))
 
@@ -177,7 +162,7 @@ def pseudo_uniforms(values) -> np.ndarray:
     return rankdata(arr, method="average") / (arr.size + 1)
 
 
-def chi_hat(u0, u1, u2, p: float, min_exceedances: int = 50) -> float:
+def chi_hat(u0, u1, u2, p: float) -> float:
     """Empirical tail dependence P[u1 > p, u2 > p | u0 > p].
 
     Inputs are the margins' own CDF values (known margins) or
@@ -190,10 +175,10 @@ def chi_hat(u0, u1, u2, p: float, min_exceedances: int = 50) -> float:
     u2 = np.asarray(u2, dtype=float)
     cond = u0 > p
     n_cond = int(np.count_nonzero(cond))
-    if n_cond < min_exceedances:
+    if n_cond < MIN_CHI_EXCEEDANCES:
         raise ValueError(
             f"only {n_cond} conditioning exceedances above p={p}; "
-            f"need at least {min_exceedances}"
+            f"need at least {MIN_CHI_EXCEEDANCES}"
         )
     both = np.count_nonzero(cond & (u1 > p) & (u2 > p))
     return both / n_cond

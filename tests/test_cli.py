@@ -71,6 +71,9 @@ class TestConfigValidation:
          "analysis.thresholds.level"),
         ("simulate", {"run": {"t": float("inf")}}, "run.t"),
         ("simulate", {"run": {"t_list": [2.0, float("nan")]}}, "run.t_list[1]"),
+        ("simulate", {"run": {"t_list": [2.0, 0.5]}}, "run.t_list[1]"),
+        ("simulate", {"run": {"t_list": []}}, "run.t_list"),
+        ("verify-rn", {"analysis": {"levels": [0.5, True]}}, "analysis.levels[1]"),
         ("simulate", {"model": {"perturbation": float("-inf")}}, "model.perturbation"),
         ("limit-h", {"analysis": {"x_grid": {"x1": [0.0, float("nan")], "x2": [0.0]}}},
          "analysis.x_grid.x1[1]"),
@@ -90,6 +93,14 @@ class TestConfigValidation:
         assert run(command, write_config(tmp_path, cfg)) == EXIT_CONFIG
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+    def test_flags_reach_the_resolved_config_and_hash(self, tmp_path):
+        path = write_config(tmp_path, {"model": CANONICAL, "run": {"seed": 1}})
+        plain = Config.load(path)
+        cfg = Config.load(path, seed=7, out=tmp_path / "o")
+        assert cfg.resolved["run"]["seed"] == 7
+        assert cfg.resolved["io"]["output_dir"] == str(tmp_path / "o")
+        assert cfg.hash() != plain.hash()
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = {"model": {"ervX": {}}, "io": {"output_dir": str(tmp_path)}}

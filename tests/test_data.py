@@ -265,6 +265,19 @@ class TestDatasetPipeline:
         with pytest.raises(ValueError):
             fit_dataset(ds, "gaussian", 0.95)  # ~7 exceedances only
 
+    def test_dataset_is_ranked_once(self, canonical_model, monkeypatch):
+        # fit, diagnostic and residuals share the dataset's cached margin
+        calls = []
+        rank = data_mod.pseudo_uniforms
+        monkeypatch.setattr(data_mod, "pseudo_uniforms",
+                            lambda values: calls.append(1) or rank(values))
+        ds = simulated_dataset(canonical_model, 5000, 2)
+        fits = fit_dataset(ds, "gaussian", 0.95)
+        residual_diagnostic(ds, fits, b=99, seed=0)
+        residuals(ds, fits)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(ds.x0_pareto, to_pareto_margins(ds.x0))
+
     def test_residual_diagnostic_reproducible(self, canonical_model):
         ds = simulated_dataset(canonical_model, 10**4, 3)
         fits = fit_dataset(ds, "gaussian", 0.95)

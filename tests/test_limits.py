@@ -216,7 +216,7 @@ class TestFactorizationGap:
     def test_canonical_gap_positive(self, canonical_model):
         res = factorization_gap(canonical_model, SMALL_GRID)
         assert res.gap > 0.01
-        assert res.argmax[0] in res.x1_grid and res.argmax[1] in res.x2_grid
+        assert res.argmax in {(row[0], row[1]) for row in res.table}
         assert len(res.table) == len(SMALL_GRID.levels) ** 2
 
     def test_gap_csv(self, canonical_model, tmp_path):

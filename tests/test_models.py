@@ -19,7 +19,7 @@ from cevnorm.models import (
     pareto_exceedance_from_uniform,
     theoretical_Gv,
 )
-from cevnorm.norming import alpha, beta
+from cevnorm.norming import ErvParams, alpha, beta
 
 from conftest import make_model
 
@@ -112,7 +112,12 @@ class TestCiModel:
         assert canonical_model.noise(2) is canonical_model.noise2
 
     def test_dict_roundtrip(self, canonical_model):
-        clone = CiModel.from_dict(canonical_model.to_dict())
+        # to_dict holds every field, so the model can be rebuilt from it
+        d = canonical_model.to_dict()
+        clone = CiModel(erv1=ErvParams(**d["erv1"]), erv2=ErvParams(**d["erv2"]),
+                        noise1=NoiseLaw(**d["noise1"]), noise2=NoiseLaw(**d["noise2"]),
+                        perturbation=d["perturbation"],
+                        negative_control=d["negative_control"])
         assert clone == canonical_model
         assert clone.content_hash() == canonical_model.content_hash()
 

@@ -1,10 +1,13 @@
 """Tests for the canonical ERV norming pairs and the psi/limit-shift maps."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cevnorm.norming import (
     RHO_BRANCH_CUTOFF,
@@ -12,6 +15,10 @@ from cevnorm.norming import (
     alpha,
     beta,
     limit_shift,
+    limit_shift_inverse,
+    normed,
+    normed_log,
+    normed_terms,
     power,
     psi,
 )
@@ -127,6 +134,53 @@ class TestLimitShift:
         assert math.isfinite(val)
         assert val == pytest.approx(-0.5, rel=1e-14)
 
+    def test_infinite_not_nan_where_v_power_overflows_for_negative_rho(self):
+        # v**-rho overflows at rho = -2, v = 1e200; the factored form gives
+        # (x - psi(v))*inf = -inf, where x*v**-rho - kappa*c would be NaN
+        p = ErvParams(a=1.0, rho=-2.0, kappa=1.0)
+        with np.errstate(over="ignore"):
+            assert limit_shift(0.3, 1e200, p) == -math.inf
+            assert limit_shift(0.7, 1e200, p) == math.inf
+
+
+class TestLimitShiftInverse:
+    @pytest.mark.parametrize("rho", [-1.5, -0.3, 0.0, 1e-11, 0.5, 1.0])
+    def test_round_trip(self, rng, rho):
+        p = ErvParams(a=2.0, rho=rho, kappa=1.5)
+        for _ in range(50):
+            v, x = float(rng.uniform(1.0, 1e3)), float(rng.normal(scale=3))
+            z = float(limit_shift(x, v, p))
+            assert limit_shift_inverse(x, z, p) == pytest.approx(1.0 / v, rel=1e-9)
+
+    def test_no_crossing_is_silent_and_outside_unit_interval(self):
+        # x = +inf never reaches a finite z; kappa = 0 at rho = 0 never moves
+        for rho, kappa in ((0.5, 1.0), (-0.5, 1.0), (0.0, 1.0), (0.0, 0.0)):
+            p = ErvParams(a=1.0, rho=rho, kappa=kappa)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                u = limit_shift_inverse(np.array([math.inf, 0.5]), 0.0, p)
+            assert not 0.0 < u[0] < 1.0
+
+
+class TestNormed:
+    def test_matches_beta_and_alpha(self, rng):
+        for _ in range(200):
+            p = ErvParams(a=float(rng.uniform(0.1, 10.0)), rho=float(rng.uniform(-2.0, 1.0)),
+                          kappa=float(rng.uniform(-5.0, 5.0)))
+            t, x = float(rng.uniform(1.0, 1e3)), float(rng.normal(scale=10))
+            ref = (x - beta(p, t)) / alpha(p, t)
+            scale = (abs(x) + abs(beta(p, t))) / alpha(p, t)
+            assert abs(normed(x, t, p) - ref) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("rho", [-1.0, 0.0, 1e-11, 0.5])
+    def test_log_form_and_affine_terms(self, rng, rho):
+        t = rng.uniform(1.0, 1e4, size=100)
+        x = rng.normal(scale=5, size=100)
+        z = normed(x, t, ErvParams(a=1.0, rho=rho, kappa=1.3))
+        np.testing.assert_allclose(normed_log(x, np.log(t), rho, 1.3), z, rtol=1e-13)
+        w, c = normed_terms(np.log(t), rho)
+        np.testing.assert_allclose(x * w - 1.3 * c, z, rtol=0, atol=1e-12 * np.max(np.abs(z)))
+
 
 class TestErvIdentities:
     """Finite-t exactness of the canonical family (the content of Eq.-5-style
@@ -167,3 +221,60 @@ class TestErvIdentities:
                 ref = kappa * math.log(v)
                 tol = 1e-6 * abs(ref) * abs(math.log(v)) + 1e-15
                 assert abs(psi(v, rho, kappa) - ref) <= tol
+
+
+# 50-digit reference formulas, with the log forms only at rho == 0
+def _mp_psi(logv, rho, k):
+    return k * logv if rho == 0 else k * mpmath.expm1(rho * logv) / rho
+
+
+def _mp_shift(x, logv, rho, k):
+    return (x - _mp_psi(logv, rho, k)) * mpmath.exp(-rho * logv)
+
+
+def _mp_log_inverse(x, z, rho, k):
+    return (z - x) / k if rho == 0 else mpmath.log1p(rho * (z - x) / (rho * x + k)) / rho
+
+
+_CUT = RHO_BRANCH_CUTOFF
+_NEAR_CUTOFF = st.builds(lambda m, sign: sign * m, st.floats(0.1 * _CUT, 10 * _CUT),
+                         st.sampled_from([-1.0, 1.0]))
+
+
+class TestRhoBranchContinuity:
+    """Every map that branches at RHO_BRANCH_CUTOFF agrees with its exact
+    formula on both sides of the cutoff.  Below it the log form drops
+    terms of relative order |rho| times the map's own scale, which is what
+    each bound allows beyond rounding; a jump at the cutoff would not fit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rho=_NEAR_CUTOFF, v=st.floats(1.0, 1e6), x=st.floats(-10.0, 10.0),
+           kappa=st.floats(0.1, 10.0), kappa_sign=st.sampled_from([-1.0, 1.0]),
+           a=st.floats(0.5, 2.0))
+    @example(rho=0.0, v=50.0, x=0.3, kappa=1.0, kappa_sign=1.0, a=1.0)
+    @example(rho=_CUT, v=1e6, x=-2.0, kappa=3.0, kappa_sign=1.0, a=1.0)
+    @example(rho=math.nextafter(_CUT, 0.0), v=1e6, x=-2.0, kappa=3.0, kappa_sign=1.0, a=1.0)
+    @example(rho=-_CUT, v=1e6, x=2.0, kappa=3.0, kappa_sign=-1.0, a=0.5)
+    @example(rho=-math.nextafter(_CUT, 0.0), v=1e6, x=2.0, kappa=3.0, kappa_sign=-1.0, a=0.5)
+    def test_maps_match_50_digit_formula(self, rho, v, x, kappa, kappa_sign, a):
+        p = ErvParams(a=a, rho=rho, kappa=kappa_sign * kappa)
+        k = p.kappa_eff
+        with mpmath.workdps(50):
+            mx, mk, mrho = mpmath.mpf(x), mpmath.mpf(k), mpmath.mpf(rho)
+            logv = mpmath.log(mpmath.mpf(v))
+            exact_psi = float(_mp_psi(logv, mrho, mk))
+            exact_shift = float(_mp_shift(mx, logv, mrho, mk))
+            # the map at level v, with its own a and kappa
+            exact_normed = float(_mp_shift(mx / a, logv, mrho, mpmath.mpf(p.kappa) / a))
+            z = float(_mp_shift(mx, logv, mrho, mk))
+            exact_log_u = _mp_log_inverse(mx, mpmath.mpf(z), mrho, mk)
+            exact_u = float(mpmath.exp(exact_log_u))
+        L = math.log(v)
+        trunc = abs(rho) * L + 1e-13
+        assert abs(psi(v, rho, k) - exact_psi) <= abs(k * L) * trunc
+        assert abs(limit_shift(x, v, p) - exact_shift) <= (abs(x) + abs(k * L)) * trunc
+        assert abs(normed_log(x, L, rho, k) - exact_shift) <= (abs(x) + abs(k * L)) * trunc
+        assert abs(normed(x, v, p) - exact_normed) <= (abs(x / a) + abs(k * L)) * trunc
+        trunc_u = abs(rho) * (abs(x) + abs(z - x)) / abs(k) + 1e-13
+        bound_u = exact_u * (abs(float(exact_log_u)) * trunc_u + 1e-13)
+        assert abs(limit_shift_inverse(x, z, p) - exact_u) <= bound_u

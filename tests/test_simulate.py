@@ -93,8 +93,8 @@ class TestDrawExceedances:
         outcomes = []
         for threads in (1, 2, 3):
             try:
-                outcomes.append(draw_exceedances(model, 1.0, n, seed,
-                                                 threads=threads).rows())
+                s = draw_exceedances(model, 1.0, n, seed, threads=threads)
+                outcomes.append(np.column_stack([s.x0, s.x1, s.x2]))
             except FloatingPointError as exc:
                 outcomes.append(str(exc))
         for other in outcomes[1:]:
@@ -133,10 +133,6 @@ class TestDrawExceedances:
     def test_capacity_error(self, canonical_model):
         with pytest.raises(CapacityError):
             draw_exceedances(canonical_model, 10.0, 10**9, 0)
-
-    def test_rows_view(self, canonical_model):
-        s = draw_exceedances(canonical_model, 10.0, 5, 0)
-        assert s.rows().shape == (5, 3)
 
 
 class TestNorming:
@@ -224,7 +220,7 @@ class TestSerialization:
             lines = path.read_text().strip().splitlines()
         assert lines[0] == "x0,x1,x2"
         parsed = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-        np.testing.assert_array_equal(parsed, s.rows())
+        np.testing.assert_array_equal(parsed, np.column_stack([s.x0, s.x1, s.x2]))
 
     def test_csv_normed(self, canonical_model, tmp_path):
         s = draw_exceedances(canonical_model, 10.0, 10, 9)

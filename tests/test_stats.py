@@ -8,17 +8,21 @@ from scipy.stats import random_table
 
 from cevnorm import stats
 from cevnorm.stats import (
-    BRUTE_FORCE_MAX_N,
     DEFAULT_LEVELS,
     Ecdf,
     chi_hat,
-    ecdf_eval,
     factorization_stat,
     joint_ecdf,
     ks_distance,
     permutation_independence_test,
     pseudo_uniforms,
 )
+
+
+def ecdf_eval(e: Ecdf, x):
+    """(# values <= x) / n: the right-continuous step function that
+    ks_distance compares at the jump points of an Ecdf."""
+    return np.searchsorted(e.sorted_values, x, side="right") / e.n
 
 
 class TestEcdf:
@@ -87,15 +91,16 @@ class TestFactorizationStat:
         assert factorization_stat((u[:, 0], u[:, 1])) < 0.01
 
     def test_matches_brute_force_on_ten_points(self, rng):
+        # factorization_stat's cell-table path on the grid of all n^2
+        # sample cells, against explicit indicator means
         w1 = rng.normal(size=10)
         w2 = rng.normal(size=10)
-        stat = factorization_stat((w1, w2), grid="full")
-        n = 10
-        worst = 0.0
-        for a in w1:
-            for b in w2:
-                joint = np.mean((w1 <= a) & (w2 <= b))
-                worst = max(worst, abs(joint - np.mean(w1 <= a) * np.mean(w2 <= b)))
+        g1, g2 = np.sort(w1), np.sort(w2)
+        cells = stats._cell_table(stats._cell_indices(w1, g1),
+                                  stats._cell_indices(w2, g2), g1.size)
+        stat = stats._table_stats(cells, 10)
+        worst = max(abs(np.mean((w1 <= a) & (w2 <= b)) - np.mean(w1 <= a) * np.mean(w2 <= b))
+                    for a in w1 for b in w2)
         assert stat == pytest.approx(worst, abs=1e-15)
 
     def test_levels_grid_matches_brute_force_at_quantiles(self, rng):
@@ -123,15 +128,9 @@ class TestFactorizationStat:
         const = np.ones(50)
         with pytest.raises(ValueError):
             factorization_stat((const, rng.normal(size=50)))
-        big = rng.normal(size=BRUTE_FORCE_MAX_N + 1)
-        with pytest.raises(ValueError):
-            factorization_stat((big, big), grid="full")
         with pytest.raises(ValueError):
             factorization_stat((rng.normal(size=50), rng.normal(size=50)),
                                levels=(0.0, 0.5))
-        with pytest.raises(ValueError):
-            factorization_stat((rng.normal(size=50), rng.normal(size=50)),
-                               grid="banana")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_pairs_raise(self, rng, bad):
