@@ -22,8 +22,6 @@ from .simulate import (
     draw_exceedances,
 )
 from .limits import (
-    GridSpec,
-    QuadOptions,
     factorization_gap,
     limit_H,
     marginal_H,

@@ -35,9 +35,7 @@ from .data import (
     write_residuals_csv,
 )
 from .limits import (
-    GridSpec,
     QuadConvergenceError,
-    QuadOptions,
     factorization_gap,
     gap_on_grid,
     limit_H,
@@ -246,8 +244,12 @@ class Config:
                 raise ConfigError("data.path: required")
             if d["conditioning_column"] is None:
                 raise ConfigError("data.conditioning_column: required")
-            if not isinstance(d["value_columns"], list) or len(d["value_columns"]) != 2:
+            cols = d["value_columns"]
+            if not (isinstance(cols, list) and len(cols) == 2
+                    and all(isinstance(c, str) for c in cols)):
                 raise ConfigError("data.value_columns: expected a list of two names")
+            if len(d["delimiter"]) != 1:
+                raise ConfigError(f"data.delimiter: expected one character, got {d['delimiter']!r}")
             if not 0.0 < d["p_t"] < 1.0:
                 raise ConfigError(f"data.p_t: expected a probability in (0, 1), got {d['p_t']!r}")
             self.data = d
@@ -281,9 +283,6 @@ class Config:
     def hash(self) -> str:
         blob = json.dumps(self.resolved, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
-
-    def quad_options(self) -> QuadOptions:
-        return QuadOptions(abs_tol=self.analysis["quad_abs_tol"])
 
     def out_dir(self) -> Path:
         d = Path(self.io["output_dir"])
@@ -398,11 +397,11 @@ def cmd_verify_rn(cfg: Config, threads: int):
 def cmd_verify_dn(cfg: Config, threads: int):
     """compare the deterministic-normed sample against the mixture law"""
     normed, delta, test = _norm_metrics(cfg, threads, "deterministic")
-    opts = cfg.quad_options()
+    tol = cfg.analysis["quad_abs_tol"]
     levels = cfg.analysis["grid_levels"]
-    q1 = marginal_H_quantile(cfg.model, 1, levels, opts)
-    q2 = marginal_H_quantile(cfg.model, 2, levels, opts)
-    h = np.array([limit_H(cfg.model, a, q2, opts) for a in q1])
+    q1 = marginal_H_quantile(cfg.model, 1, levels, tol)
+    q2 = marginal_H_quantile(cfg.model, 2, levels, tol)
+    h = np.array([limit_H(cfg.model, a, q2, tol) for a in q1])
     sup = float(np.max(np.abs(joint_ecdf(normed, q1, q2) - h)))
     metrics = {"sup_ecdf_h": sup, "delta": delta,
                "p_value": test.p_value, "n": cfg.run["n"], "t": cfg.run["t"],
@@ -412,22 +411,22 @@ def cmd_verify_dn(cfg: Config, threads: int):
 
 def cmd_limit_h(cfg: Config, threads: int):
     """export the mixture-law surface on a grid"""
-    opts = cfg.quad_options()
+    tol = cfg.analysis["quad_abs_tol"]
     xg = cfg.analysis["x_grid"]
     if xg is not None:
         x1s, x2s = xg["x1"], xg["x2"]
     else:
-        x1s = marginal_H_quantile(cfg.model, 1, cfg.analysis["grid_levels"], opts)
-        x2s = marginal_H_quantile(cfg.model, 2, cfg.analysis["grid_levels"], opts)
+        x1s = marginal_H_quantile(cfg.model, 1, cfg.analysis["grid_levels"], tol)
+        x2s = marginal_H_quantile(cfg.model, 2, cfg.analysis["grid_levels"], tol)
     path = cfg.out_dir() / "limit_h_surface.csv"
-    write_gap_csv(gap_on_grid(cfg.model, x1s, x2s, opts), path)
+    write_gap_csv(gap_on_grid(cfg.model, x1s, x2s, tol), path)
     return {"n_points": len(x1s) * len(x2s)}, {}, [path]
 
 
 def cmd_gap(cfg: Config, threads: int):
     """quadrature factorization gap with verdict"""
-    result = factorization_gap(cfg.model, GridSpec(tuple(cfg.analysis["grid_levels"])),
-                               cfg.quad_options())
+    result = factorization_gap(cfg.model, cfg.analysis["grid_levels"],
+                               cfg.analysis["quad_abs_tol"])
     path = cfg.out_dir() / "gap_table.csv"
     write_gap_csv(result, path)
     metrics = {"gap": result.gap, "argmax_x1": result.argmax[0],

@@ -40,7 +40,8 @@ MAX_BRACKET_STEPS = 200
 
 
 class DataError(ValueError):
-    """The input file lacks a requested column or any clean numeric row."""
+    """The input file is not UTF-8 CSV, or lacks a requested column or any
+    clean numeric row."""
 
 
 class FitConvergenceError(RuntimeError):
@@ -124,24 +125,27 @@ def load_csv(path, conditioning_column: str, value_columns: Sequence[str],
         raise ValueError("exactly two value columns are required")
     wanted = [conditioning_column, *value_columns]
     rows, dropped = [], 0
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        index = {name: i for i, name in enumerate(next(reader, []))}
-        for col in wanted:
-            if col not in index:
-                raise DataError(f"column {col!r} not found in {path}")
-        i0, i1, i2 = (index[col] for col in wanted)
-        width = max(i0, i1, i2) + 1
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < width:
-                dropped += 1
-                continue
-            try:
-                rows.append((float(row[i0]), float(row[i1]), float(row[i2])))
-            except ValueError:
-                dropped += 1
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh, delimiter=delimiter)
+            index = {name: i for i, name in enumerate(next(reader, []))}
+            for col in wanted:
+                if col not in index:
+                    raise DataError(f"column {col!r} not found in {path}")
+            i0, i1, i2 = (index[col] for col in wanted)
+            width = max(i0, i1, i2) + 1
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) < width:
+                    dropped += 1
+                    continue
+                try:
+                    rows.append((float(row[i0]), float(row[i1]), float(row[i2])))
+                except ValueError:
+                    dropped += 1
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: unreadable CSV ({exc})") from exc
     arr = np.array(rows, dtype=float).reshape(-1, 3)
     finite = np.all(np.isfinite(arr), axis=1)
     if not finite.all():

@@ -42,30 +42,6 @@ class QuadConvergenceError(RuntimeError):
         self.gap = gap
 
 
-@dataclass(frozen=True)
-class QuadOptions:
-    abs_tol: float = 1e-9
-
-    def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be positive")
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    levels: tuple = DEFAULT_LEVELS
-
-    def __post_init__(self):
-        lv = tuple(float(p) for p in self.levels)
-        if not lv:
-            raise ValueError("levels must be non-empty")
-        if any(not 0.0 < p < 1.0 for p in lv):
-            raise ValueError("levels must lie strictly inside (0, 1)")
-        if any(b <= a for a, b in zip(lv, lv[1:])):
-            raise ValueError("levels must be strictly increasing")
-        object.__setattr__(self, "levels", lv)
-
-
 def _kinks(model: CiModel, i: int, x) -> list:
     """Points u in (0, 1) where factor i has a kink; 1.0 where it has none.
 
@@ -82,8 +58,10 @@ def _kinks(model: CiModel, i: int, x) -> list:
     return out
 
 
-def _integrate(model: CiModel, x1, x2, opts: QuadOptions):
+def _integrate(model: CiModel, x1, x2, abs_tol: float):
     """int_0^1 G1 G2 du at every point of the broadcast (x1, x2)."""
+    if not abs_tol > 0:
+        raise ValueError("abs_tol must be positive")
     x1, x2 = np.broadcast_arrays(np.asarray(x1, dtype=float),
                                  np.asarray(x2, dtype=float))
     zero = np.zeros(x1.shape)
@@ -99,7 +77,7 @@ def _integrate(model: CiModel, x1, x2, opts: QuadOptions):
 
     res = tanhsinh(f, edges[..., :-1], edges[..., 1:],
                    args=(x1[..., None], x2[..., None]),
-                   atol=opts.abs_tol / (edges.shape[-1] - 1), rtol=0.0)
+                   atol=abs_tol / (edges.shape[-1] - 1), rtol=0.0)
     total, error = res.integral.sum(axis=-1), res.error.sum(axis=-1)
     if not np.all(res.success):
         worst = np.argmax(np.where(res.success.all(axis=-1), -np.inf, error))
@@ -109,26 +87,25 @@ def _integrate(model: CiModel, x1, x2, opts: QuadOptions):
     return total
 
 
-def limit_H(model: CiModel, x1, x2, opts: QuadOptions = QuadOptions()):
+def limit_H(model: CiModel, x1, x2, abs_tol: float = 1e-9):
     """Deterministic-norming limit law H(x1, x2) by quadrature.
 
     Broadcasts over x1 and x2; a float for scalar input.
     """
-    val = np.clip(_integrate(model, x1, x2, opts), 0.0, 1.0)
+    val = np.clip(_integrate(model, x1, x2, abs_tol), 0.0, 1.0)
     return float(val) if val.ndim == 0 else val
 
 
-def marginal_H(model: CiModel, i: int, x, opts: QuadOptions = QuadOptions()):
+def marginal_H(model: CiModel, i: int, x, abs_tol: float = 1e-9):
     """Marginal H_i(x) (the other argument at +inf)."""
     if i == 1:
-        return limit_H(model, x, math.inf, opts)
+        return limit_H(model, x, math.inf, abs_tol)
     if i == 2:
-        return limit_H(model, math.inf, x, opts)
+        return limit_H(model, math.inf, x, abs_tol)
     raise ValueError("coordinate index must be 1 or 2")
 
 
-def marginal_H_quantile(model: CiModel, i: int, p,
-                        opts: QuadOptions = QuadOptions()):
+def marginal_H_quantile(model: CiModel, i: int, p, abs_tol: float = 1e-9):
     """Solve marginal_H(i, x) = p for every level p at once.
 
     The bracket grows from [-1, 1] and may not pass +-1e12.  A float for
@@ -139,7 +116,7 @@ def marginal_H_quantile(model: CiModel, i: int, p,
         raise ValueError("p must lie strictly inside (0, 1)")
 
     def g(x, level):
-        return marginal_H(model, i, x, opts) - level
+        return marginal_H(model, i, x, abs_tol) - level
 
     br = bracket_root(g, -1.0, 1.0, args=(parr,), maxiter=_BRACKET_STEPS)
     if not np.all(br.success):
@@ -163,14 +140,13 @@ class GapResult:
     table: tuple = field(repr=False, default=())  # rows (x1, x2, H, H1H2, diff)
 
 
-def gap_on_grid(model: CiModel, x1s, x2s,
-                opts: QuadOptions = QuadOptions()) -> GapResult:
+def gap_on_grid(model: CiModel, x1s, x2s, abs_tol: float = 1e-9) -> GapResult:
     """H, H1*H2 and their difference at every point of the grid x1s x x2s."""
     x1s = np.asarray(x1s, dtype=float)
     x2s = np.asarray(x2s, dtype=float)
-    prod = np.outer(marginal_H(model, 1, x1s, opts), marginal_H(model, 2, x2s, opts))
+    prod = np.outer(marginal_H(model, 1, x1s, abs_tol), marginal_H(model, 2, x2s, abs_tol))
     # one grid row per call keeps the quadrature's working arrays small
-    h = np.array([limit_H(model, a, x2s, opts) for a in x1s])
+    h = np.array([limit_H(model, a, x2s, abs_tol) for a in x1s])
     diff = h - prod
     k1, k2 = np.unravel_index(np.argmax(np.abs(diff)), diff.shape)
     a, b = np.meshgrid(x1s, x2s, indexing="ij")
@@ -180,11 +156,13 @@ def gap_on_grid(model: CiModel, x1s, x2s,
                      table=tuple(map(tuple, table.tolist())))
 
 
-def factorization_gap(model: CiModel, grid: GridSpec = GridSpec(),
-                      opts: QuadOptions = QuadOptions()) -> GapResult:
-    """Evaluate H and H1*H2 on the grid of marginal-H quantiles."""
-    return gap_on_grid(model, marginal_H_quantile(model, 1, grid.levels, opts),
-                       marginal_H_quantile(model, 2, grid.levels, opts), opts)
+def factorization_gap(model: CiModel, levels=DEFAULT_LEVELS,
+                      abs_tol: float = 1e-9) -> GapResult:
+    """Evaluate H and H1*H2 on the grid of marginal-H quantiles of levels."""
+    if not len(levels):
+        raise ValueError("levels must be non-empty")
+    return gap_on_grid(model, marginal_H_quantile(model, 1, levels, abs_tol),
+                       marginal_H_quantile(model, 2, levels, abs_tol), abs_tol)
 
 
 def write_gap_csv(result: GapResult, path) -> None:

@@ -16,6 +16,7 @@ import json
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,17 +51,11 @@ class ExceedanceSample:
     stream: int = 0
 
 
-@dataclass(frozen=True)
-class NormedSample:
-    """Pairs (w1, w2) after norming; provenance carried from the parent."""
+class NormedSample(NamedTuple):
+    """Pairs (w1, w2) after norming."""
 
     w1: np.ndarray
     w2: np.ndarray
-    mode: str  # "random" or "deterministic"
-    t: float
-    n: int
-    seed: int
-    model_id: str
 
 
 def _row_uniforms(seed: int, stream: int, lo: int, hi: int) -> np.ndarray:
@@ -125,89 +120,64 @@ def draw_exceedances(
     )
 
 
-def _normed_sample(sample: ExceedanceSample, model: CiModel, t, mode: str) -> NormedSample:
+def _normed_sample(sample: ExceedanceSample, model: CiModel, t) -> NormedSample:
     if sample.model_id != model.content_hash():
         raise ModelMismatchError(
             f"sample was drawn from model {sample.model_id}, "
             f"got model {model.content_hash()}"
         )
-    return NormedSample(w1=normed(sample.x1, t, model.erv1), w2=normed(sample.x2, t, model.erv2),
-                        mode=mode, t=sample.t, n=sample.n, seed=sample.seed,
-                        model_id=sample.model_id)
+    return NormedSample(normed(sample.x1, t, model.erv1), normed(sample.x2, t, model.erv2))
 
 
 def apply_random_norming(sample: ExceedanceSample, model: CiModel) -> NormedSample:
     """Norm each row by the realised conditioning value: w_i = normed(x_i, x0)."""
-    return _normed_sample(sample, model, sample.x0, "random")
+    return _normed_sample(sample, model, sample.x0)
 
 
 def apply_deterministic_norming(sample: ExceedanceSample, model: CiModel) -> NormedSample:
     """Norm each row by the level only: w_i = normed(x_i, t)."""
-    return _normed_sample(sample, model, sample.t, "deterministic")
+    return _normed_sample(sample, model, sample.t)
 
 
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
-def _columns(obj):
-    if isinstance(obj, ExceedanceSample):
-        return ("x0", "x1", "x2"), (obj.x0, obj.x1, obj.x2), 1
-    if isinstance(obj, NormedSample):
-        return ("w1", "w2"), (obj.w1, obj.w2), 2
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def write_csv(obj, path) -> None:
-    """Write sample columns as CSV with shortest round-trip float formatting."""
-    names, cols, _ = _columns(obj)
+def write_csv(sample: ExceedanceSample, path) -> None:
+    """Write x0,x1,x2 as CSV with shortest round-trip float formatting."""
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in zip(*cols):
+        fh.write("x0,x1,x2\n")
+        for row in zip(sample.x0, sample.x1, sample.x2):
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _meta(obj) -> dict:
-    meta = {"t": obj.t, "n": obj.n, "seed": obj.seed, "model_id": obj.model_id}
-    if isinstance(obj, ExceedanceSample):
-        meta["stream"] = obj.stream
-    else:
-        meta["mode"] = obj.mode
-    return meta
-
-
-def write_binary(obj, path) -> None:
+def write_binary(sample: ExceedanceSample, path) -> None:
     """Binary cache: 16-byte header, JSON metadata, then float64 columns."""
-    names, cols, kind = _columns(obj)
-    meta = json.dumps(_meta(obj), sort_keys=True).encode()
+    meta = json.dumps({"t": sample.t, "n": sample.n, "seed": sample.seed,
+                       "model_id": sample.model_id, "stream": sample.stream},
+                      sort_keys=True).encode()
     with open(path, "wb") as fh:
-        fh.write(_MAGIC + struct.pack("<II", 1, kind))
+        fh.write(_MAGIC + struct.pack("<II", 1, 1))
         fh.write(struct.pack("<I", len(meta)) + meta)
-        for col in cols:
+        for col in (sample.x0, sample.x1, sample.x2):
             fh.write(np.ascontiguousarray(col, dtype="<f8").tobytes())
 
 
-def read_binary(path):
-    """Load an ExceedanceSample or NormedSample written by write_binary."""
+def read_binary(path) -> ExceedanceSample:
+    """Load an ExceedanceSample written by write_binary."""
     with open(path, "rb") as fh:
         header = fh.read(16)
         if len(header) != 16 or header[:8] != _MAGIC:
             raise ValueError(f"{path}: not a cevnorm sample cache")
         version, kind = struct.unpack("<II", header[8:])
-        if version != 1:
-            raise ValueError(f"{path}: unsupported cache version {version}")
+        if (version, kind) != (1, 1):
+            raise ValueError(f"{path}: unsupported cache version {version} kind {kind}")
         (mlen,) = struct.unpack("<I", fh.read(4))
         meta = json.loads(fh.read(mlen))
         n = meta["n"]
-        ncols = 3 if kind == 1 else 2
-        data = np.frombuffer(fh.read(8 * n * ncols), dtype="<f8").reshape(ncols, n)
-    if kind == 1:
-        return ExceedanceSample(
-            x0=data[0].copy(), x1=data[1].copy(), x2=data[2].copy(),
-            t=meta["t"], n=n, seed=meta["seed"], model_id=meta["model_id"],
-            stream=meta.get("stream", 0),
-        )
-    return NormedSample(
-        w1=data[0].copy(), w2=data[1].copy(), mode=meta["mode"],
+        data = np.frombuffer(fh.read(8 * n * 3), dtype="<f8").reshape(3, n)
+    return ExceedanceSample(
+        x0=data[0].copy(), x1=data[1].copy(), x2=data[2].copy(),
         t=meta["t"], n=n, seed=meta["seed"], model_id=meta["model_id"],
+        stream=meta.get("stream", 0),
     )

@@ -9,8 +9,6 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.stats import random_table, rankdata
 
-from .simulate import NormedSample
-
 DEFAULT_LEVELS = tuple(round(0.05 * k, 2) for k in range(1, 20))
 MIN_CHI_EXCEEDANCES = 50  # conditioning rows chi_hat needs above p
 PERM_BLOCK = 64  # null tables drawn per call; bounds memory, not results
@@ -33,9 +31,7 @@ class Ecdf:
 class TestResult:
     statistic: float
     p_value: float
-    n: int
     b: int
-    seed: int
 
 
 def ks_distance(e: Ecdf, F: Callable) -> float:
@@ -46,10 +42,7 @@ def ks_distance(e: Ecdf, F: Callable) -> float:
 
 
 def _pairs(pairs):
-    if isinstance(pairs, NormedSample):
-        w1, w2 = pairs.w1, pairs.w2
-    else:
-        w1, w2 = (np.asarray(w, dtype=float) for w in pairs)
+    w1, w2 = (np.asarray(w, dtype=float) for w in pairs)
     bad = np.count_nonzero(~(np.isfinite(w1) & np.isfinite(w2)))
     if bad:
         raise FloatingPointError(f"{bad} of {w1.size} pairs are not finite")
@@ -94,11 +87,9 @@ def joint_ecdf(pairs, g1, g2) -> np.ndarray:
     return _joint_cdf(cells, w1.size)[:-1, :-1]
 
 
-def factorization_stat(pairs, levels: Sequence[float] = DEFAULT_LEVELS) -> float:
-    """Empirical factorization distance max |F12 - F1*F2| over a grid.
-
-    The grid is the empirical marginal quantiles of the given levels.
-    """
+def _observed(pairs, levels):
+    """Cell indices of each pair on the marginal-quantile grid of levels,
+    and the observed factorization distance."""
     w1, w2 = _pairs(pairs)
     n = w1.size
     if n < 10:
@@ -108,10 +99,17 @@ def factorization_stat(pairs, levels: Sequence[float] = DEFAULT_LEVELS) -> float
     lv = np.asarray(levels, dtype=float)
     if lv.size == 0 or np.any(lv <= 0) or np.any(lv >= 1):
         raise ValueError("levels must be non-empty and inside (0, 1)")
-    g1 = np.quantile(w1, lv)
-    g2 = np.quantile(w2, lv)
-    cells = _cell_table(_cell_indices(w1, g1), _cell_indices(w2, g2), g1.size)
-    return float(_table_stats(cells, n))
+    d1 = _cell_indices(w1, np.quantile(w1, lv))
+    d2 = _cell_indices(w2, np.quantile(w2, lv))
+    return d1, d2, float(_table_stats(_cell_table(d1, d2, lv.size), n))
+
+
+def factorization_stat(pairs, levels: Sequence[float] = DEFAULT_LEVELS) -> float:
+    """Empirical factorization distance max |F12 - F1*F2| over a grid.
+
+    The grid is the empirical marginal quantiles of the given levels.
+    """
+    return _observed(pairs, levels)[2]
 
 
 def permutation_independence_test(pairs, levels: Sequence[float] = DEFAULT_LEVELS,
@@ -137,14 +135,8 @@ def permutation_independence_test(pairs, levels: Sequence[float] = DEFAULT_LEVEL
     """
     if b < 99:
         raise ValueError("b must be >= 99")
-    w1, w2 = _pairs(pairs)
-    n = w1.size
-    lv = np.asarray(levels, dtype=float)
-    m = lv.size + 1
-    d1 = _cell_indices(w1, np.quantile(w1, lv))
-    d2 = _cell_indices(w2, np.quantile(w2, lv))
-    observed = _table_stats(_cell_table(d1, d2, lv.size), n)
-
+    d1, d2, observed = _observed(pairs, levels)
+    n, m = d1.size, np.size(levels) + 1
     null = random_table(np.bincount(d1, minlength=m), np.bincount(d2, minlength=m))
     rng = np.random.Generator(np.random.Philox(seed & (2**64 - 1)))
     n_ge = 0
@@ -153,7 +145,7 @@ def permutation_independence_test(pairs, levels: Sequence[float] = DEFAULT_LEVEL
                           random_state=rng)
         n_ge += int(np.count_nonzero(_table_stats(tables, n) >= observed))
     p = (1 + n_ge) / (b + 1)
-    return TestResult(statistic=float(observed), p_value=p, n=n, b=b, seed=seed)
+    return TestResult(statistic=observed, p_value=p, b=b)
 
 
 def pseudo_uniforms(values) -> np.ndarray:

@@ -82,6 +82,13 @@ class TestConfigValidation:
         ("diagnose", {"data": {"path": "absent.csv", "conditioning_column": "x0",
                                "value_columns": ["x1", "x2"], "p_t": float("nan")}},
          "data.p_t"),
+        ("diagnose", {"data": {"path": "absent.csv", "conditioning_column": "x0",
+                               "value_columns": ["x1", "x2"], "delimiter": ";;"}},
+         "data.delimiter"),
+        ("diagnose", {"data": {"path": "absent.csv", "conditioning_column": "x0",
+                               "value_columns": ["x1", 2]}}, "data.value_columns"),
+        ("gap", {"analysis": {"grid_levels": [0.5, 0.5]}}, "analysis.grid_levels"),
+        ("gap", {"analysis": {"grid_levels": [0.9, 0.1]}}, "analysis.grid_levels"),
     ])
     def test_non_finite_or_out_of_range_exits_2_before_work(self, tmp_path, capsys,
                                                             command, block, field):
@@ -531,3 +538,15 @@ class TestDiagnose:
     def test_missing_data_block(self, tmp_path):
         cfg = {"model": CANONICAL, "io": {"output_dir": str(tmp_path)}}
         assert run("diagnose", write_config(tmp_path, cfg)) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("content", [
+        b"x0,x1,x2\n2.0,\xff\xfe,1.0\n",  # not UTF-8
+        b"x0,x1,x2\n2.0," + b"1" * 200_000 + b",1.0\n",  # over the csv field limit
+    ], ids=["not-utf8", "oversized-field"])
+    def test_unreadable_data_exit_3(self, tmp_path, capsys, content):
+        data_path = tmp_path / "data.csv"
+        data_path.write_bytes(content)
+        cfg = self._cfg(tmp_path, data_path)
+        assert run("diagnose", write_config(tmp_path, cfg)) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "unreadable CSV" in err

@@ -9,9 +9,7 @@ import pytest
 
 from cevnorm.limits import (
     GapResult,
-    GridSpec,
     QuadConvergenceError,
-    QuadOptions,
     factorization_gap,
     limit_H,
     marginal_H,
@@ -23,7 +21,7 @@ from cevnorm.simulate import apply_deterministic_norming, draw_exceedances
 
 from conftest import make_model
 
-SMALL_GRID = GridSpec((0.1, 0.3, 0.5, 0.7, 0.9))
+SMALL_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 
 @pytest.fixture(scope="module")
@@ -34,14 +32,16 @@ def dn_sample(canonical_model):
 
 
 class TestOptions:
-    def test_quad_options_validated(self):
-        with pytest.raises(ValueError):
-            QuadOptions(abs_tol=0.0)
+    def test_quad_options_validated(self, canonical_model):
+        with pytest.raises(ValueError, match="abs_tol"):
+            limit_H(canonical_model, 0.0, 0.0, abs_tol=0.0)
 
-    @pytest.mark.parametrize("levels", [(), (0.0, 0.5), (0.5, 0.5), (0.9, 0.1)])
-    def test_grid_spec_validated(self, levels):
+    # repeated or decreasing levels leave a gap unchanged; the CLI's
+    # analysis.grid_levels still rejects them
+    @pytest.mark.parametrize("levels", [(), (0.0, 0.5)])
+    def test_grid_spec_validated(self, canonical_model, levels):
         with pytest.raises(ValueError):
-            GridSpec(levels)
+            factorization_gap(canonical_model, levels)
 
     def test_integrator_on_known_integral(self):
         # uniform noise, rho = 0, kappa = 1: H1(x) = int_0^1 clip(x + log u) du
@@ -91,8 +91,8 @@ class TestLimitH:
                 marginal_H(canonical_model, 2, x), abs=1e-8)
 
     def test_tolerance_self_consistency(self, canonical_model):
-        coarse = limit_H(canonical_model, 1.3, 0.4, QuadOptions(abs_tol=1e-6))
-        fine = limit_H(canonical_model, 1.3, 0.4, QuadOptions(abs_tol=5e-7))
+        coarse = limit_H(canonical_model, 1.3, 0.4, abs_tol=1e-6)
+        fine = limit_H(canonical_model, 1.3, 0.4, abs_tol=5e-7)
         assert abs(coarse - fine) < 1e-6
 
 
@@ -206,21 +206,21 @@ class TestFactorizationGap:
     def test_degenerate_first_coordinate(self):
         model = make_model(rho1=0.0, kappa1=0.0)
         res = factorization_gap(model, SMALL_GRID)
-        assert res.gap <= 10 * QuadOptions().abs_tol
+        assert res.gap <= 10 * 1e-9
 
     def test_degenerate_second_coordinate(self):
         model = make_model(rho2=0.0, kappa2=0.0)
         res = factorization_gap(model, SMALL_GRID)
-        assert res.gap <= 10 * QuadOptions().abs_tol
+        assert res.gap <= 10 * 1e-9
 
     def test_canonical_gap_positive(self, canonical_model):
         res = factorization_gap(canonical_model, SMALL_GRID)
         assert res.gap > 0.01
         assert res.argmax in {(row[0], row[1]) for row in res.table}
-        assert len(res.table) == len(SMALL_GRID.levels) ** 2
+        assert len(res.table) == len(SMALL_GRID) ** 2
 
     def test_gap_csv(self, canonical_model, tmp_path):
-        res = factorization_gap(canonical_model, GridSpec((0.3, 0.7)))
+        res = factorization_gap(canonical_model, (0.3, 0.7))
         path = tmp_path / "gap.csv"
         write_gap_csv(res, path)
         lines = path.read_text().strip().splitlines()
@@ -230,6 +230,6 @@ class TestFactorizationGap:
         assert diff == pytest.approx(h - h1h2, abs=1e-15)
 
     def test_gap_result_is_value_object(self, canonical_model):
-        res = factorization_gap(canonical_model, GridSpec((0.5,)))
+        res = factorization_gap(canonical_model, (0.5,))
         assert isinstance(res, GapResult)
         assert res.gap >= 0.0

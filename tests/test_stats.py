@@ -182,6 +182,15 @@ class TestPermutationTest:
         with pytest.raises(ValueError):
             permutation_independence_test((rng.normal(size=50),) * 2, b=50)
 
+    def test_constant_coordinate_rejected(self, rng):
+        with pytest.raises(ValueError, match="constant"):
+            permutation_independence_test((rng.normal(size=50), np.ones(50)), b=99)
+
+    def test_too_few_pairs_rejected(self, rng):
+        w1, w2 = rng.normal(size=5), rng.normal(size=5)
+        with pytest.raises(ValueError, match="at least 10 pairs"):
+            permutation_independence_test((w1, w2), b=99)
+
 
 LEVELS4 = (0.2, 0.4, 0.6, 0.8)
 
