@@ -399,9 +399,8 @@ def cmd_verify_dn(cfg: Config, threads: int):
     normed, delta, test = _norm_metrics(cfg, threads, "deterministic")
     tol = cfg.analysis["quad_abs_tol"]
     levels = cfg.analysis["grid_levels"]
-    q1 = marginal_H_quantile(cfg.model, 1, levels, tol)
-    q2 = marginal_H_quantile(cfg.model, 2, levels, tol)
-    h = np.array([limit_H(cfg.model, a, q2, tol) for a in q1])
+    q1, q2 = marginal_H_quantile(cfg.model, [[1], [2]], levels, tol)
+    h = limit_H(cfg.model, q1[:, None], q2[None, :], tol)
     sup = float(np.max(np.abs(joint_ecdf(normed, q1, q2) - h)))
     metrics = {"sup_ecdf_h": sup, "delta": delta,
                "p_value": test.p_value, "n": cfg.run["n"], "t": cfg.run["t"],
@@ -416,8 +415,8 @@ def cmd_limit_h(cfg: Config, threads: int):
     if xg is not None:
         x1s, x2s = xg["x1"], xg["x2"]
     else:
-        x1s = marginal_H_quantile(cfg.model, 1, cfg.analysis["grid_levels"], tol)
-        x2s = marginal_H_quantile(cfg.model, 2, cfg.analysis["grid_levels"], tol)
+        x1s, x2s = marginal_H_quantile(cfg.model, [[1], [2]],
+                                       cfg.analysis["grid_levels"], tol)
     path = cfg.out_dir() / "limit_h_surface.csv"
     write_gap_csv(gap_on_grid(cfg.model, x1s, x2s, tol), path)
     return {"n_points": len(x1s) * len(x2s)}, {}, [path]

@@ -40,8 +40,8 @@ MAX_BRACKET_STEPS = 200
 
 
 class DataError(ValueError):
-    """The input file is not UTF-8 CSV, or lacks a requested column or any
-    clean numeric row."""
+    """The input file is not UTF-8 CSV, lacks a requested column or any
+    clean numeric row, or has a constant column where a fit needs spread."""
 
 
 class FitConvergenceError(RuntimeError):
@@ -415,6 +415,8 @@ def tail_exceedances(dataset: Dataset, p_t: float):
         raise ValueError(
             f"need at least {MIN_FIT_ROWS} clean rows for fitting, got {dataset.n}"
         )
+    if np.all(dataset.x0 == dataset.x0[0]):
+        raise DataError(f"conditioning column {dataset.columns[0]!r} is constant")
     x0p = dataset.x0_pareto
     keep = x0p > 1.0 / (1.0 - p_t)
     return x0p[keep], dataset.y1[keep], dataset.y2[keep]
@@ -429,6 +431,10 @@ def fit_dataset(dataset: Dataset, family: str = "gaussian",
             f"only {x0p.size} exceedances above p_t={p_t}; "
             f"need at least {MIN_EXCEEDANCES}"
         )
+    for name, y in zip(dataset.columns[1:], (y1, y2)):
+        if np.all(y == y[0]):
+            raise DataError(f"value column {name!r} is constant over the "
+                            f"{x0p.size} exceedances above p_t={p_t}")
     fit1 = fit_norming(y1, x0p, family)
     fit2 = fit_norming(y2, x0p, family)
     return FittedNorming(fit1=fit1, fit2=fit2, p_t=p_t, n_exceedances=x0p.size)

@@ -9,7 +9,8 @@ G1(x1)*G2(x2).  Under deterministic norming it is the mixture law
 evaluated here after the substitution u = 1/v, which absorbs the v**-2
 weight exactly and leaves a bounded integrand on (0, 1].  The integral is
 taken by tanh-sinh (double-exponential) quadrature over whole arrays of
-(x1, x2).  H factorises into its marginals iff one coordinate has
+(x1, x2), in blocks of at most QUAD_BLOCK (point x piece) elements per
+call.  H factorises into its marginals iff one coordinate has
 (kappa, rho) = (0, 0).
 """
 
@@ -31,6 +32,14 @@ _U_MIN = np.finfo(float).tiny
 # bracket_root grows [-1, 1] to [-(2**(k+1) - 1), 2**(k+1) - 1] in k
 # steps; 38 steps reach +-(2**39 - 1), the last bracket inside +-1e12
 _BRACKET_STEPS = 38
+# (point x piece) elements per tanhsinh call; a call's working arrays
+# take about 5 KB per element.  On the limit-law benchmark's 20 x 20
+# grids, peak RSS is 2 MB above 103 MB at 512 and 4 MB at 1024, for no
+# further speed; 256 is 10% slower
+QUAD_BLOCK = 512
+# tanhsinh returns NaN on a piece one ulp wide; a piece this many ulps
+# wide or less holds at most its width in mass and is given zero length
+_SLIVER_ULPS = 4
 
 
 class QuadConvergenceError(RuntimeError):
@@ -64,27 +73,38 @@ def _integrate(model: CiModel, x1, x2, abs_tol: float):
         raise ValueError("abs_tol must be positive")
     x1, x2 = np.broadcast_arrays(np.asarray(x1, dtype=float),
                                  np.asarray(x2, dtype=float))
+    shape = x1.shape
+    x1, x2 = x1.ravel(), x2.ravel()
     zero = np.zeros(x1.shape)
-    # split (0, 1) at the kinks; every piece goes into one tanhsinh call
-    # along a trailing axis, and padding pieces have zero length
+    # split (0, 1) at the kinks; the pieces lie along a trailing axis, and
+    # padding pieces have zero length
     edges = np.sort(np.stack([zero, *_kinks(model, 1, x1), *_kinks(model, 2, x2),
                               zero + 1.0], axis=-1), axis=-1)
+    lo, hi = edges[:, :-1], edges[:, 1:]
+    hi = np.where(hi - lo <= _SLIVER_ULPS * np.spacing(hi), lo, hi)
 
     def f(u, a, b):
         v = 1.0 / np.maximum(u, _U_MIN)
         return (noise_cdf(model.noise1, limit_shift(a, v, model.erv1))
                 * noise_cdf(model.noise2, limit_shift(b, v, model.erv2)))
 
-    res = tanhsinh(f, edges[..., :-1], edges[..., 1:],
-                   args=(x1[..., None], x2[..., None]),
-                   atol=abs_tol / (edges.shape[-1] - 1), rtol=0.0)
-    total, error = res.integral.sum(axis=-1), res.error.sum(axis=-1)
-    if not np.all(res.success):
-        worst = np.argmax(np.where(res.success.all(axis=-1), -np.inf, error))
-        best, gap = float(total.flat[worst]), float(error.flat[worst])
+    total, error = np.empty(x1.size), np.empty(x1.size)
+    ok = np.empty(x1.size, dtype=bool)
+    step = max(1, QUAD_BLOCK // lo.shape[-1])
+    for start in range(0, x1.size, step):
+        block = slice(start, start + step)
+        res = tanhsinh(f, lo[block], hi[block],
+                       args=(x1[block, None], x2[block, None]),
+                       atol=abs_tol / lo.shape[-1], rtol=0.0)
+        total[block] = res.integral.sum(axis=-1)
+        error[block] = res.error.sum(axis=-1)
+        ok[block] = res.success.all(axis=-1)
+    if not ok.all():
+        worst = np.argmax(np.where(ok, -np.inf, error))
+        best, gap = float(total[worst]), float(error[worst])
         raise QuadConvergenceError(
             f"quadrature failed to converge: best estimate {best}, gap {gap}", best, gap)
-    return total
+    return total.reshape(shape)
 
 
 def limit_H(model: CiModel, x1, x2, abs_tol: float = 1e-9):
@@ -96,38 +116,49 @@ def limit_H(model: CiModel, x1, x2, abs_tol: float = 1e-9):
     return float(val) if val.ndim == 0 else val
 
 
-def marginal_H(model: CiModel, i: int, x, abs_tol: float = 1e-9):
-    """Marginal H_i(x) (the other argument at +inf)."""
-    if i == 1:
-        return limit_H(model, x, math.inf, abs_tol)
-    if i == 2:
-        return limit_H(model, math.inf, x, abs_tol)
-    raise ValueError("coordinate index must be 1 or 2")
+def _coordinates(i) -> np.ndarray:
+    """The coordinate index i as an array, every entry 1 or 2."""
+    i = np.asarray(i)
+    if not np.all((i == 1) | (i == 2)):
+        raise ValueError("coordinate index must be 1 or 2")
+    return i
 
 
-def marginal_H_quantile(model: CiModel, i: int, p, abs_tol: float = 1e-9):
-    """Solve marginal_H(i, x) = p for every level p at once.
+def marginal_H(model: CiModel, i, x, abs_tol: float = 1e-9):
+    """Marginal H_i(x) (the other argument at +inf).
 
-    The bracket grows from [-1, 1] and may not pass +-1e12.  A float for
-    scalar p.
+    Broadcasts over the coordinate index i and x, so both margins take one
+    limit_H call; a float for scalar input.
     """
-    parr = np.asarray(p, dtype=float)
+    i, x = _coordinates(i), np.asarray(x, dtype=float)
+    return limit_H(model, np.where(i == 1, x, math.inf),
+                   np.where(i == 2, x, math.inf), abs_tol)
+
+
+def marginal_H_quantile(model: CiModel, i, p, abs_tol: float = 1e-9):
+    """Solve marginal_H(i, x) = p for every (i, p) of the broadcast at once.
+
+    With i = [[1], [2]] one root search gives both margins' quantiles.  The
+    bracket grows from [-1, 1] and may not pass +-1e12.  A float for
+    scalar i and p.
+    """
+    i, parr = np.broadcast_arrays(_coordinates(i), np.asarray(p, dtype=float))
     if not np.all((parr > 0.0) & (parr < 1.0)):
         raise ValueError("p must lie strictly inside (0, 1)")
 
-    def g(x, level):
-        return marginal_H(model, i, x, abs_tol) - level
+    def g(x, level, coord):
+        return marginal_H(model, coord, x, abs_tol) - level
 
-    br = bracket_root(g, -1.0, 1.0, args=(parr,), maxiter=_BRACKET_STEPS)
+    br = bracket_root(g, -1.0, 1.0, args=(parr, i), maxiter=_BRACKET_STEPS)
     if not np.all(br.success):
         # report the last end tried on the side that found no sign change
         end = np.where(br.f_bracket[0] > 0, br.bracket[0], br.bracket[1])
         k = np.argmax(~br.success)
         best = float(end.flat[k])
         raise QuadConvergenceError(
-            f"level {float(parr.flat[k])!r} of marginal H{i} has no root in the "
-            f"bracket [-1e12, 1e12] (last end tried {best})", best, math.inf)
-    root = find_root(g, br.bracket, args=(parr,), tolerances={"xatol": 1e-8})
+            f"level {float(parr.flat[k])!r} of marginal H{int(i.flat[k])} has no "
+            f"root in the bracket [-1e12, 1e12] (last end tried {best})", best, math.inf)
+    root = find_root(g, br.bracket, args=(parr, i), tolerances={"xatol": 1e-8})
     return float(root.x) if root.x.ndim == 0 else root.x
 
 
@@ -144,9 +175,12 @@ def gap_on_grid(model: CiModel, x1s, x2s, abs_tol: float = 1e-9) -> GapResult:
     """H, H1*H2 and their difference at every point of the grid x1s x x2s."""
     x1s = np.asarray(x1s, dtype=float)
     x2s = np.asarray(x2s, dtype=float)
-    prod = np.outer(marginal_H(model, 1, x1s, abs_tol), marginal_H(model, 2, x2s, abs_tol))
-    # one grid row per call keeps the quadrature's working arrays small
-    h = np.array([limit_H(model, a, x2s, abs_tol) for a in x1s])
+    # one call on the grid bordered by +inf: its last column is H1, its
+    # last row H2
+    full = limit_H(model, np.append(x1s, math.inf)[:, None],
+                   np.append(x2s, math.inf)[None, :], abs_tol)
+    h = full[:-1, :-1]
+    prod = np.outer(full[:-1, -1], full[-1, :-1])
     diff = h - prod
     k1, k2 = np.unravel_index(np.argmax(np.abs(diff)), diff.shape)
     a, b = np.meshgrid(x1s, x2s, indexing="ij")
@@ -161,8 +195,8 @@ def factorization_gap(model: CiModel, levels=DEFAULT_LEVELS,
     """Evaluate H and H1*H2 on the grid of marginal-H quantiles of levels."""
     if not len(levels):
         raise ValueError("levels must be non-empty")
-    return gap_on_grid(model, marginal_H_quantile(model, 1, levels, abs_tol),
-                       marginal_H_quantile(model, 2, levels, abs_tol), abs_tol)
+    q1, q2 = marginal_H_quantile(model, [[1], [2]], levels, abs_tol)
+    return gap_on_grid(model, q1, q2, abs_tol)
 
 
 def write_gap_csv(result: GapResult, path) -> None:

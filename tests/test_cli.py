@@ -392,10 +392,19 @@ class TestTracing:
         assert report["command"] == "limit-h" and report["points"] == 4
         rows = [s for s in tracer.spans
                 if s["name"] == "limits.H" and s["parent"] == main_span["id"]]
-        assert len(rows) == 2
+        assert len(rows) == 1
 
 
 class TestSurfacesAndGap:
+    def test_limit_h_uniform_kinks_one_ulp_apart(self, tmp_path):
+        # the grid holds points whose two kinks are one ulp apart
+        xs = np.linspace(-2.0, 8.0, 20).tolist()
+        uniform = {"family": "uniform", "location": 0.0, "scale": 1.0}
+        cfg = {"model": {**CANONICAL, "noise1": uniform, "noise2": uniform},
+               "analysis": {"x_grid": {"x1": xs, "x2": xs}},
+               "io": {"output_dir": str(tmp_path)}}
+        assert run("limit-h", write_config(tmp_path, cfg)) == EXIT_PASS
+
     def test_limit_h_surface_monotone(self, tmp_path):
         xs = [-1.0, 0.0, 1.0, 2.0, 4.0, 25.0]
         cfg = {"model": CANONICAL,
@@ -534,6 +543,22 @@ class TestDiagnose:
         cfg = self._cfg(tmp_path, data_path)
         assert run("diagnose", write_config(tmp_path, cfg)) == EXIT_CONFIG
         assert "100" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column,value", [("x0", 5.0), ("x2", 3.0)])
+    def test_constant_column_exit_3(self, tmp_path, canonical_model, capsys,
+                                    column, value):
+        """A constant conditioning column, or a value column constant over
+        the exceedances, is a fault in the data, not in the config."""
+        sample = draw_exceedances(canonical_model, 1.0, 4000, 0)
+        cols = {"x0": sample.x0, "x1": sample.x1, "x2": sample.x2}
+        cols[column] = np.full(4000, value)
+        data_path = tmp_path / "data.csv"
+        np.savetxt(data_path, np.column_stack(list(cols.values())),
+                   delimiter=",", header="x0,x1,x2", comments="")
+        cfg = self._cfg(tmp_path, data_path)
+        assert run("diagnose", write_config(tmp_path, cfg)) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and f"{column!r} is constant" in err
 
     def test_missing_data_block(self, tmp_path):
         cfg = {"model": CANONICAL, "io": {"output_dir": str(tmp_path)}}

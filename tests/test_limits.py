@@ -2,12 +2,14 @@
 factorization gap."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
 from cevnorm.limits import (
+    QUAD_BLOCK,
     GapResult,
     QuadConvergenceError,
     factorization_gap,
@@ -56,6 +58,10 @@ class TestOptions:
             marginal_H_quantile(canonical_model, 1, 1e-30)
         assert math.isfinite(exc.value.best)
         assert exc.value.gap > 0
+
+    def test_convergence_error_names_the_coordinate(self, canonical_model):
+        with pytest.raises(QuadConvergenceError, match="level 1e-30 of marginal H2"):
+            marginal_H_quantile(canonical_model, [1, 2], [0.5, 1e-30])
 
 
 class TestLimitH:
@@ -167,6 +173,45 @@ class TestUniformNoise:
         scalar = [[limit_H(model, a, b) for b in x2] for a in x1]
         np.testing.assert_allclose(grid, scalar, rtol=0, atol=1e-14)
 
+    def test_kinks_one_ulp_apart(self):
+        # the kinks at this point are 0.9025 and 0.9025000000000001
+        model = self.MODELS["canonical"]
+        x1, x2 = 0.10526315789473673, 1.1578947368421053
+        assert limit_H(model, x1, x2) == pytest.approx(
+            _uniform_H_oracle(model, x1, x2), abs=1e-9)
+
+    def test_grid_memory_is_bounded(self):
+        xs = np.linspace(-2.0, 8.0, 60)
+        tracemalloc.start()
+        try:
+            limit_H(self.MODELS["canonical"], xs[:, None], xs[None, :])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+
+class TestBlocks:
+    """A grid is integrated in blocks of QUAD_BLOCK elements, not row by row."""
+
+    @pytest.mark.parametrize("family", ["gaussian", "uniform"])
+    def test_grid_equals_row_calls(self, family):
+        model = make_model(rho2=-0.3, kappa2=2.0, family=family)
+        x1 = np.linspace(-3.0, 9.0, 31)
+        x2 = np.linspace(-2.5, 7.0, 27)
+        assert x1.size * x2.size > QUAD_BLOCK
+        grid = limit_H(model, x1[:, None], x2[None, :])
+        rows = [limit_H(model, a, x2) for a in x1]
+        np.testing.assert_array_equal(grid, rows)
+
+    def test_both_margins_in_one_search(self):
+        model = make_model(rho2=-0.3, kappa2=2.0, a2=1.5)
+        assert model.erv1 != model.erv2
+        both = marginal_H_quantile(model, [[1], [2]], SMALL_GRID)
+        assert both.shape == (2, len(SMALL_GRID))
+        np.testing.assert_array_equal(both[0], marginal_H_quantile(model, 1, SMALL_GRID))
+        np.testing.assert_array_equal(both[1], marginal_H_quantile(model, 2, SMALL_GRID))
+
 
 class TestMarginalH:
     def test_degenerate_equals_noise_cdf(self):
@@ -188,9 +233,12 @@ class TestMarginalH:
         emp = float(np.mean(dn_sample.w1 <= 2.0))
         assert abs(h - emp) < 0.003
 
-    def test_bad_coordinate_index(self, canonical_model):
-        with pytest.raises(ValueError):
-            marginal_H(canonical_model, 3, 0.0)
+    @pytest.mark.parametrize("i", [3, [1, 3]])
+    def test_bad_coordinate_index(self, canonical_model, i):
+        with pytest.raises(ValueError, match="coordinate index"):
+            marginal_H(canonical_model, i, 0.0)
+        with pytest.raises(ValueError, match="coordinate index"):
+            marginal_H_quantile(canonical_model, i, 0.5)
 
     def test_quantile_inverts_marginal(self, canonical_model):
         for p in (0.1, 0.5, 0.9):
