@@ -42,7 +42,7 @@ from .limits import (
     marginal_H_quantile,
     write_gap_csv,
 )
-from .models import CiModel, NoiseLaw, noise_cdf
+from .models import FAMILIES, CiModel, NoiseLaw, noise_cdf
 from .norming import ErvParams
 from .simulate import (
     CapacityError,
@@ -77,191 +77,164 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# config schema
+# config schema: every key's rule and default, checked by one walker
 # ---------------------------------------------------------------------------
 
-def _require(block: dict, path: str, allowed: dict):
-    if not isinstance(block, dict):
-        raise ConfigError(f"{path}: expected an object")
-    for key in block:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}: unknown key")
-    out = {}
-    for key, (typ, default) in allowed.items():
-        if key not in block or block[key] is None:
-            out[key] = default
-            continue
-        val = block[key]
-        is_bool = isinstance(val, bool)
-        if typ is float and isinstance(val, (int, float)) and not is_bool:
-            val = float(val)
-            if not math.isfinite(val):
-                raise ConfigError(f"{path}.{key}: expected a finite number, got {val!r}")
-        elif typ is int and isinstance(val, int) and not is_bool:
-            val = int(val)
-        elif typ in (float, int) or not isinstance(val, typ) or (is_bool and typ is not bool):
-            raise ConfigError(
-                f"{path}.{key}: expected {typ.__name__}, got {val!r}"
-            )
-        out[key] = val
-    return out
+REQUIRED = object()  # a default that means the key must be given
 
 
-def _number_list(values, path: str, expected: str, ok=lambda v: True) -> list:
-    """A non-empty list of finite JSON numbers that each pass ok, as floats;
-    json.load's NaN and Infinity fail, and an element fails by its index."""
-    if not isinstance(values, list) or not values:
-        raise ConfigError(f"{path}: expected a non-empty list, each {expected}")
-    for i, v in enumerate(values):
-        if not (isinstance(v, (int, float)) and not isinstance(v, bool)
-                and math.isfinite(v) and ok(v)):
-            raise ConfigError(f"{path}[{i}]: expected {expected}")
-    return [float(v) for v in values]
+def _fail(path: str, expected: str, got):
+    raise ConfigError(f"{path}: expected {expected}, got {json.dumps(got, default=repr)}")
 
 
-def _parse_erv(block, path) -> ErvParams:
-    d = _require(block, path, {"a": (float, 1.0), "rho": (float, 0.0),
-                               "kappa": (float, 0.0)})
+def _finite(v):
+    """v as a float if it is a finite JSON number (a bool is not), else None."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return None
     try:
-        return ErvParams(**d)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        v = float(v)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return v if math.isfinite(v) else None
 
 
-def _parse_noise(block, path) -> NoiseLaw:
-    d = _require(block, path, {"family": (str, "gaussian"),
-                               "location": (float, 0.0), "scale": (float, 1.0)})
-    try:
-        return NoiseLaw(**d)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+def _value(kind, expected: str, ok=lambda v: True):
+    """A value of type kind that passes ok.  A float must be a finite number
+    and is kept as a float; a bool never counts as an int."""
+    def rule(v, path):
+        if kind is float:
+            x = _finite(v)
+        else:
+            x = v if isinstance(v, kind) and not (kind is int and isinstance(v, bool)) else None
+        if x is None or not ok(x):
+            _fail(path, expected, v)
+        return x
+    return rule
 
 
-def _parse_levels(values, path):
-    out = _number_list(values, path, "a probability in (0, 1)", lambda v: 0 < v < 1)
+def _numbers(expected: str, ok=lambda v: True):
+    """A non-empty list of finite numbers that each pass ok, as floats; an
+    element that fails is named by its index."""
+    each = _value(float, expected, ok)
+
+    def rule(v, path):
+        if not isinstance(v, list) or not v:
+            _fail(path, f"a non-empty list, each {expected}", v)
+        return [each(x, f"{path}[{i}]") for i, x in enumerate(v)]
+    return rule
+
+
+_probabilities = _numbers("a probability in (0, 1)", lambda v: 0 < v < 1)
+
+
+def _levels(v, path):
+    """A strictly increasing list of probabilities."""
+    out = _probabilities(v, path)
     if any(b <= a for a, b in zip(out, out[1:])):
-        raise ConfigError(f"{path}: levels must be strictly increasing")
+        _fail(path, "strictly increasing levels", v)
     return out
+
+
+def _block(schema: dict):
+    """An object with only schema's keys.  A missing or null key takes its
+    default, which goes through the key's rule like a given value; a None
+    default leaves the key None, and a REQUIRED key fails its rule on null."""
+    def rule(raw, path):
+        if not isinstance(raw, dict):
+            _fail(path or "config", "an object", raw)
+        for key in raw:
+            if key not in schema:
+                _fail(f"{path}.{key}" if path else key,
+                      f"one of the keys {', '.join(schema)}", key)
+        out = {}
+        for key, (check, default) in schema.items():
+            val = raw.get(key)
+            if val is None:
+                if default is None:
+                    out[key] = None
+                    continue
+                val = None if default is REQUIRED else default
+            out[key] = check(val, f"{path}.{key}" if path else key)
+        return out
+    return rule
+
+
+FINITE = _value(float, "a finite number")
+POSITIVE = _value(float, "a finite number > 0", lambda v: v > 0)
+BOOL = _value(bool, "true or false")
+STRING = _value(str, "a string")
+FAMILY = _value(str, f"one of {', '.join(FAMILIES)}", lambda v: v in FAMILIES)
+ERV = _block({"a": (POSITIVE, 1.0), "rho": (FINITE, 0.0), "kappa": (FINITE, 0.0)})
+NOISE = _block({"family": (FAMILY, "gaussian"), "location": (FINITE, 0.0),
+                "scale": (POSITIVE, 1.0)})
+GRID_AXIS = _numbers("a finite number")
+
+SCHEMA = {
+    "schema_version": (_value(int, str(SCHEMA_VERSION), lambda v: v == SCHEMA_VERSION),
+                       SCHEMA_VERSION),
+    "model": (_block({
+        "erv1": (ERV, {}), "erv2": (ERV, {}),
+        "noise1": (NOISE, {}), "noise2": (NOISE, {}),
+        "perturbation": (_value(float, "a finite number >= 0", lambda v: v >= 0), 0.0),
+        "negative_control": (BOOL, False),
+    }), {}),
+    "run": (_block({
+        "t": (_value(float, "a finite number >= 1", lambda v: v >= 1), 50.0),
+        "t_list": (_numbers("a finite number >= 1", lambda v: v >= 1), None),
+        "n": (_value(int, "an integer >= 1", lambda v: v >= 1), 100_000),
+        "seed": (_value(int, "an integer"), 42),
+    }), {}),
+    "analysis": (_block({
+        "levels": (_levels, list(DEFAULT_LEVELS)),
+        "grid_levels": (_levels, list(DEFAULT_LEVELS)),
+        "b": (_value(int, "an integer >= 99", lambda v: v >= 99), 999),
+        "quad_abs_tol": (POSITIVE, 1e-9),
+        "p_levels": (_levels, [0.9, 0.99, 0.999]),
+        "x_grid": (_block({"x1": (GRID_AXIS, REQUIRED), "x2": (GRID_AXIS, REQUIRED)}), None),
+        "thresholds": (_block({
+            "delta_max": (FINITE, None), "sup_max": (FINITE, None),
+            "level": (FINITE, 0.01), "gap_max": (FINITE, None),
+            "gap_min": (FINITE, None), "expect_dependence": (BOOL, False),
+        }), None),
+    }), {}),
+    "io": (_block({
+        "output_dir": (STRING, "."),
+        "formats": (_value(list, 'a non-empty list of "csv" and "binary"',
+                           lambda v: v and all(f in ("csv", "binary") for f in v)),
+                    ["csv"]),
+    }), {}),
+    "data": (_block({
+        "path": (STRING, REQUIRED),
+        "conditioning_column": (STRING, REQUIRED),
+        "value_columns": (_value(list, "a list of two names",
+                                 lambda v: len(v) == 2 and all(isinstance(c, str) for c in v)),
+                          REQUIRED),
+        "family": (FAMILY, "gaussian"),
+        "p_t": (_value(float, "a probability in (0, 1)", lambda v: 0 < v < 1), 0.95),
+        "delimiter": (_value(str, "one character", lambda v: len(v) == 1), ","),
+    }), None),
+}
 
 
 class Config:
-    """Validated experiment configuration."""
+    """Validated experiment configuration: resolved is SCHEMA's output."""
 
     def __init__(self, raw: dict):
-        top = _require(raw, "config", {
-            "schema_version": (int, SCHEMA_VERSION),
-            "model": (dict, {}),
-            "run": (dict, {}),
-            "analysis": (dict, {}),
-            "io": (dict, {}),
-            "data": (dict, None),
-        })
-        if top["schema_version"] != SCHEMA_VERSION:
-            raise ConfigError(
-                f"schema_version: expected {SCHEMA_VERSION}, got {top['schema_version']}"
-            )
-        m = _require(top["model"], "model", {
-            "erv1": (dict, {}), "erv2": (dict, {}),
-            "noise1": (dict, {}), "noise2": (dict, {}),
-            "perturbation": (float, 0.0),
-            "negative_control": (bool, False),
-        })
-        try:
-            self.model = CiModel(
-                erv1=_parse_erv(m["erv1"], "model.erv1"),
-                erv2=_parse_erv(m["erv2"], "model.erv2"),
-                noise1=_parse_noise(m["noise1"], "model.noise1"),
-                noise2=_parse_noise(m["noise2"], "model.noise2"),
-                perturbation=m["perturbation"],
-                negative_control=m["negative_control"],
-            )
-        except ValueError as exc:
-            raise ConfigError(f"model: {exc}") from exc
-
-        r = _require(top["run"], "run", {
-            "t": (float, 50.0), "t_list": (list, None),
-            "n": (int, 100_000), "seed": (int, 42),
-        })
-        if r["n"] < 1:
-            raise ConfigError("run.n: must be >= 1")
-        if r["t"] < 1:
-            raise ConfigError("run.t: must be >= 1")
-        if r["t_list"] is not None:
-            r["t_list"] = _number_list(r["t_list"], "run.t_list",
-                                       "a finite number >= 1", lambda t: t >= 1)
-        self.run = r
-
-        a = _require(top["analysis"], "analysis", {
-            "levels": (list, list(DEFAULT_LEVELS)),
-            "grid_levels": (list, list(DEFAULT_LEVELS)),
-            "b": (int, 999),
-            "quad_abs_tol": (float, 1e-9),
-            "p_levels": (list, [0.9, 0.99, 0.999]),
-            "x_grid": (dict, None),
-            "thresholds": (dict, None),
-        })
-        a["levels"] = _parse_levels(a["levels"], "analysis.levels")
-        a["grid_levels"] = _parse_levels(a["grid_levels"], "analysis.grid_levels")
-        a["p_levels"] = _parse_levels(a["p_levels"], "analysis.p_levels")
-        if a["b"] < 99:
-            raise ConfigError("analysis.b: must be >= 99")
-        if a["quad_abs_tol"] <= 0:
-            raise ConfigError("analysis.quad_abs_tol: must be positive")
-        if a["thresholds"] is not None:
-            a["thresholds"] = _require(a["thresholds"], "analysis.thresholds", {
-                "delta_max": (float, None), "sup_max": (float, None),
-                "level": (float, 0.01), "gap_max": (float, None),
-                "gap_min": (float, None), "expect_dependence": (bool, False),
-            })
-        if a["x_grid"] is not None:
-            a["x_grid"] = _require(a["x_grid"], "analysis.x_grid", {
-                "x1": (list, None), "x2": (list, None),
-            })
-            for axis in ("x1", "x2"):
-                a["x_grid"][axis] = _number_list(
-                    a["x_grid"][axis], f"analysis.x_grid.{axis}", "a finite number")
-        self.analysis = a
-
-        self.io = _require(top["io"], "io", {
-            "output_dir": (str, "."),
-            "formats": (list, ["csv"]),
-        })
-        for fmt in self.io["formats"]:
-            if fmt not in ("csv", "binary"):
-                raise ConfigError(f"io.formats: unknown format {fmt!r}")
-
-        self.data = None
-        if top["data"] is not None:
-            d = _require(top["data"], "data", {
-                "path": (str, None),
-                "conditioning_column": (str, None),
-                "value_columns": (list, None),
-                "family": (str, "gaussian"),
-                "p_t": (float, 0.95),
-                "delimiter": (str, ","),
-            })
-            if d["path"] is None:
-                raise ConfigError("data.path: required")
-            if d["conditioning_column"] is None:
-                raise ConfigError("data.conditioning_column: required")
-            cols = d["value_columns"]
-            if not (isinstance(cols, list) and len(cols) == 2
-                    and all(isinstance(c, str) for c in cols)):
-                raise ConfigError("data.value_columns: expected a list of two names")
-            if len(d["delimiter"]) != 1:
-                raise ConfigError(f"data.delimiter: expected one character, got {d['delimiter']!r}")
-            if not 0.0 < d["p_t"] < 1.0:
-                raise ConfigError(f"data.p_t: expected a probability in (0, 1), got {d['p_t']!r}")
-            self.data = d
-
-        self.resolved = {
-            "schema_version": SCHEMA_VERSION,
-            "model": self.model.to_dict(),
-            "run": self.run,
-            "analysis": self.analysis,
-            "io": self.io,
-            "data": self.data,
-        }
+        self.resolved = _block(SCHEMA)(raw, "")
+        m = self.resolved["model"]
+        self.model = CiModel(
+            erv1=ErvParams(**m["erv1"]), erv2=ErvParams(**m["erv2"]),
+            noise1=NoiseLaw(**m["noise1"]), noise2=NoiseLaw(**m["noise2"]),
+            perturbation=m["perturbation"], negative_control=m["negative_control"],
+        )
+        self.run = self.resolved["run"]
+        self.analysis = self.resolved["analysis"]
+        self.io = self.resolved["io"]
+        self.data = d = self.resolved["data"]
+        if d is not None and len({d["conditioning_column"], *d["value_columns"]}) < 3:
+            _fail("data.value_columns", "two distinct names other than data."
+                  f"conditioning_column {json.dumps(d['conditioning_column'])}",
+                  d["value_columns"])
 
     @classmethod
     def load(cls, path, seed=None, out=None) -> "Config":
@@ -449,7 +422,7 @@ def cmd_chi(cfg: Config, threads: int):
 def cmd_diagnose(cfg: Config, threads: int):
     """fit norming functions to data and test residual independence"""
     if cfg.data is None:
-        raise ConfigError("data: block required for diagnose")
+        _fail("data", "an object (diagnose reads a data file)", None)
     d = cfg.data
     dataset = load_csv(d["path"], d["conditioning_column"],
                        d["value_columns"], d["delimiter"])

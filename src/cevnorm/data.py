@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -45,11 +45,7 @@ class DataError(ValueError):
 
 
 class FitConvergenceError(RuntimeError):
-    """No fit could be completed; carries per-grid-point diagnostics."""
-
-    def __init__(self, message: str, diagnostics: list):
-        super().__init__(message)
-        self.diagnostics = diagnostics
+    """No fit could be completed."""
 
 
 @dataclass(frozen=True)
@@ -79,16 +75,6 @@ class NormingFit:
     objective: float
     n_starts: int
 
-    def to_dict(self) -> dict:
-        return {
-            "erv": vars(self.erv),
-            "noise": vars(self.noise),
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "objective": self.objective,
-            "n_starts": self.n_starts,
-        }
-
 
 @dataclass(frozen=True)
 class FittedNorming:
@@ -99,17 +85,9 @@ class FittedNorming:
     p_t: float
     n_exceedances: int
 
-    def to_dict(self) -> dict:
-        return {
-            "fit1": self.fit1.to_dict(),
-            "fit2": self.fit2.to_dict(),
-            "p_t": self.p_t,
-            "n_exceedances": self.n_exceedances,
-        }
-
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=2)
+            json.dump(asdict(self), fh, sort_keys=True, indent=2)
             fh.write("\n")
 
 
@@ -186,7 +164,7 @@ def _log_density(s, family):
 def _neg_log_likelihood(theta, y, logx0, logalpha_base, family):
     rho, kappa, loc, scale = theta
     if scale <= 0:
-        return 1e300
+        return math.inf
     with np.errstate(over="ignore", invalid="ignore"):
         # the uniform inner fit takes its support from this same map, so
         # that support holds bit for bit here
@@ -195,9 +173,7 @@ def _neg_log_likelihood(theta, y, logx0, logalpha_base, family):
         # -rho*sum log x0 - n*log scale
         nll = (-np.sum(_log_density(s, family)) + y.size * math.log(scale)
                + rho * logalpha_base)
-    if not np.isfinite(nll):
-        return 1e300
-    return float(nll)
+    return float(nll) if np.isfinite(nll) else math.inf
 
 
 def _dot(a, b):
@@ -382,8 +358,6 @@ def fit_norming(y, x0, family: str = "gaussian") -> NormingFit:
         nll = math.inf
         if inner is not None:
             nll = _neg_log_likelihood((rho, *inner), y, logx0, logalpha_base, family)
-            if nll >= 1e300:
-                nll = math.inf
             evaluated.append((nll, rho, *inner))
         return nll
 
@@ -392,9 +366,7 @@ def fit_norming(y, x0, family: str = "gaussian") -> NormingFit:
     if not math.isfinite(grid[i]):
         raise FitConvergenceError(
             f"{family} profile likelihood is not finite at any of the "
-            f"{RHO_GRID.size} grid points in rho",
-            [{"rho": float(rho), "objective": None} for rho in RHO_GRID],
-        )
+            f"{RHO_GRID.size} grid points in rho")
     bracket = (float(RHO_GRID[max(i - 1, 0)]), float(RHO_GRID[min(i + 1, RHO_GRID.size - 1)]))
     res = minimize_scalar(profile, bounds=bracket, method="bounded",
                           options={"xatol": BRENT_XATOL})
@@ -457,7 +429,7 @@ def residual_diagnostic(dataset: Dataset, fits: FittedNorming,
     tail of the data.
     """
     if not (fits.fit1.converged and fits.fit2.converged):
-        raise FitConvergenceError("fits did not converge", [])
+        raise FitConvergenceError("fits did not converge")
     z1, z2 = residuals(dataset, fits)
     return permutation_independence_test((z1, z2), b=b, seed=seed)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import expit, logit, ndtr, ndtri
@@ -99,14 +99,7 @@ class CiModel:
         return {1: self.noise1, 2: self.noise2}[i]
 
     def to_dict(self) -> dict:
-        return {
-            "erv1": vars(self.erv1),
-            "erv2": vars(self.erv2),
-            "noise1": vars(self.noise1),
-            "noise2": vars(self.noise2),
-            "perturbation": self.perturbation,
-            "negative_control": self.negative_control,
-        }
+        return asdict(self)
 
     def content_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()

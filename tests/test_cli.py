@@ -89,6 +89,17 @@ class TestConfigValidation:
                                "value_columns": ["x1", 2]}}, "data.value_columns"),
         ("gap", {"analysis": {"grid_levels": [0.5, 0.5]}}, "analysis.grid_levels"),
         ("gap", {"analysis": {"grid_levels": [0.9, 0.1]}}, "analysis.grid_levels"),
+        ("diagnose", {"data": {"path": "absent.csv", "conditioning_column": "x0",
+                               "value_columns": ["x0", "x1"]}}, "data.value_columns"),
+        ("diagnose", {"data": {"path": "absent.csv", "conditioning_column": "x0",
+                               "value_columns": ["x1", "x0"]}}, "data.value_columns"),
+        ("diagnose", {"data": {"path": "absent.csv", "conditioning_column": "x0",
+                               "value_columns": ["x1", "x1"]}}, "data.value_columns"),
+        ("diagnose", {"data": {"path": "absent.csv", "conditioning_column": "x0",
+                               "value_columns": ["x1", "x2"], "family": "cauchy"}},
+         "data.family"),
+        ("simulate", {"io": {"formats": []}}, "io.formats"),
+        ("simulate", {"run": {"t": 10**400}}, "run.t"),
     ])
     def test_non_finite_or_out_of_range_exits_2_before_work(self, tmp_path, capsys,
                                                             command, block, field):
@@ -161,6 +172,10 @@ class TestConfigValidation:
         cfg = Config.load(path)
         assert cfg.run["n"] == 100_000
         assert cfg.analysis["thresholds"]["level"] == 0.01
+        # and runs as printed
+        assert run("verify-rn", path, "--out", str(tmp_path)) == EXIT_PASS
+        verdicts = read_report(tmp_path, "verify-rn")["verdicts"]
+        assert verdicts == {"delta_below_max": True, "independence_not_rejected": True}
 
     @pytest.mark.parametrize("command", ["simulate", "verify-rn", "verify-dn",
                                          "limit-h", "gap", "chi", "diagnose"])
