@@ -135,6 +135,17 @@ def _levels(v, path):
     return out
 
 
+_t_numbers = _numbers("a finite number >= 1", lambda v: v >= 1)
+
+
+def _t_list(v, path):
+    """Levels t >= 1, no two equal: each names its own sample file."""
+    out = _t_numbers(v, path)
+    if len(set(out)) < len(out):
+        _fail(path, "distinct values", v)
+    return out
+
+
 def _block(schema: dict):
     """An object with only schema's keys.  A missing or null key takes its
     default, which goes through the key's rule like a given value; a None
@@ -168,6 +179,9 @@ ERV = _block({"a": (POSITIVE, 1.0), "rho": (FINITE, 0.0), "kappa": (FINITE, 0.0)
 NOISE = _block({"family": (FAMILY, "gaussian"), "location": (FINITE, 0.0),
                 "scale": (POSITIVE, 1.0)})
 GRID_AXIS = _numbers("a finite number")
+# the sampler keys Philox with the seed's low 64 bits, so a wider range
+# would give two seeds one sample
+SEED = _value(int, "an integer in [0, 2**64)", lambda v: 0 <= v < 2**64)
 
 SCHEMA = {
     "schema_version": (_value(int, str(SCHEMA_VERSION), lambda v: v == SCHEMA_VERSION),
@@ -180,9 +194,9 @@ SCHEMA = {
     }), {}),
     "run": (_block({
         "t": (_value(float, "a finite number >= 1", lambda v: v >= 1), 50.0),
-        "t_list": (_numbers("a finite number >= 1", lambda v: v >= 1), None),
+        "t_list": (_t_list, None),
         "n": (_value(int, "an integer >= 1", lambda v: v >= 1), 100_000),
-        "seed": (_value(int, "an integer"), 42),
+        "seed": (SEED, 42),
     }), {}),
     "analysis": (_block({
         "levels": (_levels, list(DEFAULT_LEVELS)),
@@ -248,7 +262,7 @@ class Config:
         cfg = cls(raw)
         # flags win over file keys; resolved holds these same dicts
         if seed is not None:
-            cfg.run["seed"] = seed
+            cfg.run["seed"] = SEED(seed, "--seed")
         if out is not None:
             cfg.io["output_dir"] = str(out)
         return cfg
@@ -325,19 +339,28 @@ def _verdicts(cfg: Config, metrics: dict, *thresholds: str) -> dict:
 # commands: each returns (metrics, verdicts, files); its docstring is its help
 # ---------------------------------------------------------------------------
 
+def _t_name(t: float) -> str:
+    """t in a file name: %g where that is exact, else the shortest repr, so
+    distinct values get distinct names."""
+    short = f"{t:g}"
+    return short if float(short) == t else repr(t)
+
+
 def cmd_simulate(cfg: Config, threads: int):
     """draw conditioned exceedance samples and write them out"""
     files = []
     for t in cfg.t_values():
         sample = draw_exceedances(cfg.model, t, cfg.run["n"], cfg.run["seed"],
                                   threads=threads)
-        stem = cfg.out_dir() / f"sample_t{t:g}_n{cfg.run['n']}_seed{cfg.run['seed']}"
+        out = cfg.out_dir()
+        # not Path.with_suffix: a fractional t puts a dot inside the stem
+        stem = f"sample_t{_t_name(t)}_n{cfg.run['n']}_seed{cfg.run['seed']}"
         if "csv" in cfg.io["formats"]:
-            path = stem.with_suffix(".csv")
+            path = out / f"{stem}.csv"
             write_csv(sample, path)
             files.append(path)
         if "binary" in cfg.io["formats"]:
-            path = stem.with_suffix(".bin")
+            path = out / f"{stem}.bin"
             write_binary(sample, path)
             files.append(path)
     return {"n": cfg.run["n"], "t_values": cfg.t_values()}, {}, files
@@ -474,26 +497,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _threads(flag) -> int:
+    """The worker cap: --threads, else $CEVNORM_THREADS, else 1."""
+    if flag is None:
+        source, raw = "CEVNORM_THREADS", os.environ.get("CEVNORM_THREADS", "1")
+    else:
+        source, raw = "--threads", flag
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0  # not an integer: fails the bound below
+    if threads < 1:
+        raise ConfigError(f"{source}: expected an integer >= 1, got {raw!r}")
+    return threads
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        threads = args.threads
-        if threads is None:
-            env = os.environ.get("CEVNORM_THREADS", "1")
-            try:
-                threads = int(env)
-            except ValueError as exc:
-                raise ConfigError(f"CEVNORM_THREADS: expected an integer, got {env!r}") from exc
-        if threads < 1:
-            raise ConfigError("--threads must be >= 1")
+        threads = _threads(args.threads)
         cfg = Config.load(args.config, seed=args.seed, out=args.out)
         started = time.time()
         metrics, verdicts, files = COMMANDS[args.command](cfg, threads)
         write_report(cfg, args.command, metrics, verdicts, started, files)
         return EXIT_PASS if all(verdicts.values()) else EXIT_FAIL
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -506,7 +533,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FileNotFoundError, PermissionError, IsADirectoryError, OSError) as exc:
+    except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .models import FAMILIES, NoiseLaw
+from .models import FAMILIES, NOISE_FAMILIES, NoiseLaw
 from .norming import ErvParams, normed, normed_log, normed_terms
 from .stats import TestResult, permutation_independence_test, pseudo_uniforms
 
@@ -148,19 +148,6 @@ def to_pareto_margins(values) -> np.ndarray:
     return 1.0 / (1.0 - pseudo_uniforms(arr))
 
 
-def _log_density(s, family):
-    """Log-density of the standardised noise family at s."""
-    if family == "gaussian":
-        return -0.5 * s * s - 0.9189385332046727
-    if family == "gumbel":
-        return -s - np.exp(-s)
-    if family == "logistic":
-        t = np.abs(s)
-        return -t - 2.0 * np.log1p(np.exp(-t))
-    # uniform on [0, 1] in standardised units
-    return np.where((s >= 0.0) & (s <= 1.0), 0.0, -np.inf)
-
-
 def _neg_log_likelihood(theta, y, logx0, logalpha_base, family):
     rho, kappa, loc, scale = theta
     if scale <= 0:
@@ -171,7 +158,7 @@ def _neg_log_likelihood(theta, y, logx0, logalpha_base, family):
         s = (normed_log(y, logx0, rho, kappa) - loc) / scale
         # Jacobian of y -> s: x0**-rho/scale, whose log sums to
         # -rho*sum log x0 - n*log scale
-        nll = (-np.sum(_log_density(s, family)) + y.size * math.log(scale)
+        nll = (-np.sum(NOISE_FAMILIES[family].log_pdf(s)) + y.size * math.log(scale)
                + rho * logalpha_base)
     return float(nll) if np.isfinite(nll) else math.inf
 
@@ -231,15 +218,6 @@ def _min_range_slope(u, c, kappa):
     return lo if np.ptp(u - lo * c) <= np.ptp(u - hi * c) else hi
 
 
-def _score(s, family):
-    """First and second derivatives in s of the gumbel or logistic log-density."""
-    if family == "gumbel":
-        e = np.exp(-s)
-        return e - 1.0, -e
-    h = np.tanh(0.5 * s)
-    return -h, 0.5 * (h * h - 1.0)
-
-
 def _log_concave_fit(u, c, start, family):
     """(kappa, loc, scale) maximising the gumbel or logistic likelihood of
     u = loc + kappa*c + scale*Z, or None.
@@ -248,6 +226,7 @@ def _log_concave_fit(u, c, start, family):
     theta[0] = sd(u)/scale > 0.  The negative log-likelihood is convex in
     theta, because both log-densities are concave: damped Newton from start.
     """
+    law = NOISE_FAMILIES[family]
     n = u.size
     um, cm, su, sc = u.mean(), c.mean(), u.std(), c.std()
     M = np.stack([(u - um) / su, (c - cm) / sc, np.ones(n)])
@@ -257,12 +236,12 @@ def _log_concave_fit(u, c, start, family):
     def objective(th):
         if not th[0] > 0:
             return math.inf
-        val = -np.sum(_log_density(np.einsum("i,in->n", th, M), family)) - n * math.log(th[0])
+        val = -np.sum(law.log_pdf(np.einsum("i,in->n", th, M))) - n * math.log(th[0])
         return val if np.isfinite(val) else math.inf
 
     f = objective(theta)
     for _ in range(NEWTON_MAXITER):
-        d1, d2 = _score(np.einsum("i,in->n", theta, M), family)
+        d1, d2 = law.score(np.einsum("i,in->n", theta, M))
         grad = -np.einsum("in,n->i", M, d1)
         grad[0] -= n / theta[0]
         hess = -np.einsum("in,n,jn->ij", M, d2, M)

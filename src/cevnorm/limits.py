@@ -23,7 +23,7 @@ import numpy as np
 from scipy.integrate import tanhsinh
 from scipy.optimize.elementwise import bracket_root, find_root
 
-from .models import CiModel, noise_cdf
+from .models import NOISE_FAMILIES, CiModel, noise_cdf
 from .norming import limit_shift, limit_shift_inverse
 from .stats import DEFAULT_LEVELS
 
@@ -54,16 +54,15 @@ class QuadConvergenceError(RuntimeError):
 def _kinks(model: CiModel, i: int, x) -> list:
     """Points u in (0, 1) where factor i has a kink; 1.0 where it has none.
 
-    Only uniform noise has kinks: where the shifted argument crosses
-    either end of the support.
+    A factor has a kink where the shifted argument crosses a finite end
+    of its noise family's support.
     """
     noise = model.noise(i)
-    if noise.family != "uniform":
-        return []
     out = []
-    for end in (noise.location, noise.location + noise.scale):
-        u = limit_shift_inverse(x, end, model.erv(i))
-        out.append(np.where((u > 0.0) & (u < 1.0), u, 1.0))
+    for end in NOISE_FAMILIES[noise.family].support:
+        if math.isfinite(end):
+            u = limit_shift_inverse(x, noise.location + noise.scale * end, model.erv(i))
+            out.append(np.where((u > 0.0) & (u < 1.0), u, 1.0))
     return out
 
 

@@ -19,13 +19,64 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import expit, logit, ndtr, ndtri
 
 from .norming import ErvParams, alpha, beta, limit_shift, normed
 
-FAMILIES = ("gaussian", "gumbel", "logistic", "uniform")
+
+class NoiseFamily(NamedTuple):
+    """One standardised noise family, the only home of its formulas.
+
+    score, where given, returns the first two derivatives of log_pdf;
+    the Newton norming fit needs it.  support is the closed interval
+    outside which cdf is 0 or 1.
+    """
+
+    cdf: Callable
+    quantile: Callable
+    log_pdf: Callable
+    support: tuple = (-math.inf, math.inf)
+    score: Callable | None = None
+
+
+def _gumbel_cdf(s):
+    with np.errstate(over="ignore"):
+        return np.exp(-np.exp(-s))
+
+
+def _gumbel_score(s):
+    e = np.exp(-s)
+    return e - 1.0, -e
+
+
+def _logistic_log_pdf(s):
+    t = np.abs(s)
+    return -t - 2.0 * np.log1p(np.exp(-t))
+
+
+def _logistic_score(s):
+    h = np.tanh(0.5 * s)
+    return -h, 0.5 * (h * h - 1.0)
+
+
+NOISE_FAMILIES = {
+    "gaussian": NoiseFamily(
+        cdf=ndtr, quantile=ndtri,
+        log_pdf=lambda s: -0.5 * s * s - 0.9189385332046727),
+    "gumbel": NoiseFamily(
+        cdf=_gumbel_cdf, quantile=lambda p: -np.log(-np.log(p)),
+        log_pdf=lambda s: -s - np.exp(-s), score=_gumbel_score),
+    "logistic": NoiseFamily(
+        cdf=expit, quantile=logit, log_pdf=_logistic_log_pdf, score=_logistic_score),
+    "uniform": NoiseFamily(
+        cdf=lambda s: np.clip(s, 0.0, 1.0), quantile=lambda p: p,
+        log_pdf=lambda s: np.where((s >= 0.0) & (s <= 1.0), 0.0, -np.inf),
+        support=(0.0, 1.0)),
+}
+FAMILIES = tuple(NOISE_FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -50,15 +101,7 @@ class NoiseLaw:
 def noise_cdf(law: NoiseLaw, x):
     """CDF of the noise law, vectorised; handles +-inf arguments."""
     s = (np.asarray(x, dtype=float) - law.location) / law.scale
-    if law.family == "gaussian":
-        return ndtr(s)
-    if law.family == "gumbel":
-        with np.errstate(over="ignore"):
-            return np.exp(-np.exp(-s))
-    if law.family == "logistic":
-        return expit(s)
-    # uniform on [location, location + scale]
-    return np.clip(s, 0.0, 1.0)
+    return NOISE_FAMILIES[law.family].cdf(s)
 
 
 def noise_quantile(law: NoiseLaw, p):
@@ -66,15 +109,7 @@ def noise_quantile(law: NoiseLaw, p):
     parr = np.asarray(p, dtype=float)
     if np.any(parr <= 0.0) or np.any(parr >= 1.0):
         raise ValueError("p must lie strictly inside (0, 1)")
-    if law.family == "gaussian":
-        q = ndtri(parr)
-    elif law.family == "gumbel":
-        q = -np.log(-np.log(parr))
-    elif law.family == "logistic":
-        q = logit(parr)
-    else:
-        q = parr
-    return law.location + law.scale * q
+    return law.location + law.scale * NOISE_FAMILIES[law.family].quantile(parr)
 
 
 @dataclass(frozen=True)

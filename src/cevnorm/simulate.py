@@ -164,7 +164,12 @@ def write_binary(sample: ExceedanceSample, path) -> None:
 
 
 def read_binary(path) -> ExceedanceSample:
-    """Load an ExceedanceSample written by write_binary."""
+    """Load an ExceedanceSample written by write_binary.
+
+    Raises ValueError naming the path if the file is not a version-1
+    cache, its metadata is not JSON, or its columns are not exactly
+    3 x n float64 values.
+    """
     with open(path, "rb") as fh:
         header = fh.read(16)
         if len(header) != 16 or header[:8] != _MAGIC:
@@ -172,10 +177,19 @@ def read_binary(path) -> ExceedanceSample:
         version, kind = struct.unpack("<II", header[8:])
         if (version, kind) != (1, 1):
             raise ValueError(f"{path}: unsupported cache version {version} kind {kind}")
-        (mlen,) = struct.unpack("<I", fh.read(4))
-        meta = json.loads(fh.read(mlen))
+        size = fh.read(4)
+        # a file cut inside the length field has no metadata, which is not JSON
+        blob = fh.read(struct.unpack("<I", size)[0]) if len(size) == 4 else b""
+        try:
+            meta = json.loads(blob)
+        except ValueError as exc:
+            raise ValueError(f"{path}: metadata is not JSON ({exc})") from exc
         n = meta["n"]
-        data = np.frombuffer(fh.read(8 * n * 3), dtype="<f8").reshape(3, n)
+        body = fh.read()
+    if len(body) != 24 * n:
+        raise ValueError(f"{path}: {len(body)} bytes of columns, expected 24*n = {24 * n} "
+                         f"for n = {n}")
+    data = np.frombuffer(body, dtype="<f8").reshape(3, n)
     return ExceedanceSample(
         x0=data[0].copy(), x1=data[1].copy(), x2=data[2].copy(),
         t=meta["t"], n=n, seed=meta["seed"], model_id=meta["model_id"],

@@ -100,6 +100,9 @@ class TestConfigValidation:
          "data.family"),
         ("simulate", {"io": {"formats": []}}, "io.formats"),
         ("simulate", {"run": {"t": 10**400}}, "run.t"),
+        ("simulate", {"run": {"t_list": [10, 20, 10.0]}}, "run.t_list"),
+        ("simulate", {"run": {"seed": -1}}, "run.seed"),
+        ("simulate", {"run": {"seed": 2**64}}, "run.seed"),
     ])
     def test_non_finite_or_out_of_range_exits_2_before_work(self, tmp_path, capsys,
                                                             command, block, field):
@@ -111,6 +114,25 @@ class TestConfigValidation:
         assert run(command, write_config(tmp_path, cfg)) == EXIT_CONFIG
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_flag_out_of_range_exits_2_before_work(self, tmp_path, capsys, seed):
+        out = tmp_path / "out"
+        cfg = {"model": CANONICAL, "run": {"n": 5}, "io": {"output_dir": str(out)}}
+        assert run("simulate", write_config(tmp_path, cfg), f"--seed={seed}") == EXIT_CONFIG
+        assert f"--seed: expected an integer in [0, 2**64), got {seed}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_range_ends_run(self, tmp_path, seed):
+        cfg = {"model": CANONICAL, "run": {"n": 5, "t": 10, "seed": seed},
+               "io": {"output_dir": str(tmp_path / "key")}}
+        path = write_config(tmp_path, cfg)
+        assert run("simulate", path) == EXIT_PASS
+        flags = ("--seed", str(seed), "--out", str(tmp_path / "flag"))
+        assert run("simulate", path, *flags) == EXIT_PASS
+        name = f"sample_t10_n5_seed{seed}.csv"
+        assert (tmp_path / "key" / name).read_bytes() == (tmp_path / "flag" / name).read_bytes()
 
     def test_flags_reach_the_resolved_config_and_hash(self, tmp_path):
         path = write_config(tmp_path, {"model": CANONICAL, "run": {"seed": 1}})
@@ -156,13 +178,17 @@ class TestConfigValidation:
         cfg = {"model": CANONICAL, "io": {"output_dir": str(tmp_path)}}
         code = run("simulate", write_config(tmp_path, cfg), "--threads", "0")
         assert code == EXIT_CONFIG
+        assert "config error: --threads: expected an integer >= 1, got 0" in capsys.readouterr().err
 
     def test_bad_threads_env_is_config_error(self, tmp_path, monkeypatch, capsys):
         cfg = {"model": CANONICAL, "analysis": {"grid_levels": [0.5]},
                "io": {"output_dir": str(tmp_path)}}
-        monkeypatch.setenv("CEVNORM_THREADS", "abc")
-        assert run("gap", write_config(tmp_path, cfg)) == EXIT_CONFIG
-        assert "config error: CEVNORM_THREADS" in capsys.readouterr().err
+        for env in ("abc", "0"):
+            monkeypatch.setenv("CEVNORM_THREADS", env)
+            assert run("gap", write_config(tmp_path, cfg)) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert f"config error: CEVNORM_THREADS: expected an integer >= 1, got {env!r}" in err
+            assert "--threads" not in err
 
     def test_readme_example_config_loads(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -206,6 +232,16 @@ class TestSimulate:
         assert run("simulate", write_config(tmp_path, cfg)) == EXIT_PASS
         for t in (10, 20, 40):
             assert (tmp_path / f"sample_t{t}_n5_seed2.csv").exists()
+
+    def test_t_values_that_print_alike_keep_their_own_files(self, tmp_path):
+        cfg = {"model": CANONICAL, "run": {"n": 5, "seed": 2,
+                                           "t_list": [10, 10.000001, 1.5, 1.7]},
+               "io": {"output_dir": str(tmp_path)}}
+        assert run("simulate", write_config(tmp_path, cfg)) == EXIT_PASS
+        files = read_report(tmp_path, "simulate")["files"]
+        assert [Path(f).name for f in files] == [
+            f"sample_t{t}_n5_seed2.csv" for t in ("10", "10.000001", "1.5", "1.7")]
+        assert len({Path(f).read_bytes() for f in files}) == 4
 
     def test_binary_format(self, tmp_path):
         cfg = {"model": CANONICAL, "run": {"n": 5, "seed": 2, "t": 10},

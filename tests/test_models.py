@@ -10,6 +10,7 @@ from scipy.stats import ks_2samp
 
 from cevnorm.models import (
     FAMILIES,
+    NOISE_FAMILIES,
     CiModel,
     NoiseLaw,
     conditional_from_uniforms,
@@ -69,6 +70,47 @@ class TestNoiseLaw:
         vals = np.asarray(noise_cdf(law, x))
         assert np.all(np.diff(vals) >= 0)
         assert np.all((vals >= 0) & (vals <= 1))
+
+
+class TestFamilyTable:
+    """Each NOISE_FAMILIES entry describes one law: the fit's density and
+    score belong to the sampler's CDF and quantile."""
+
+    P = np.linspace(0.01, 0.99, 99)  # quantiles inside any support, off its ends
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_density_is_the_cdf_slope(self, family):
+        fam = NOISE_FAMILIES[family]
+        s, h = fam.quantile(self.P), 1e-5
+        slope = (fam.cdf(s + h) - fam.cdf(s - h)) / (2 * h)
+        np.testing.assert_allclose(np.exp(fam.log_pdf(s)), slope, rtol=1e-6)
+
+    @pytest.mark.parametrize("family", [f for f in FAMILIES if NOISE_FAMILIES[f].score])
+    def test_score_is_the_log_density_slope(self, family):
+        fam = NOISE_FAMILIES[family]
+        s, h = fam.quantile(self.P), 1e-4
+        d1, d2 = fam.score(s)
+        lo, mid, hi = fam.log_pdf(s - h), fam.log_pdf(s), fam.log_pdf(s + h)
+        np.testing.assert_allclose(d1, (hi - lo) / (2 * h), rtol=1e-6, atol=1e-6)
+        np.testing.assert_allclose(d2, (hi - 2 * mid + lo) / h**2, rtol=1e-4, atol=1e-6)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_cdf_inverts_quantile(self, family):
+        fam = NOISE_FAMILIES[family]
+        np.testing.assert_allclose(fam.cdf(fam.quantile(self.P)), self.P,
+                                   rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_cdf_is_flat_outside_the_support(self, family):
+        fam = NOISE_FAMILIES[family]
+        lo, hi = fam.support
+        off = np.array([1e-9, 1.0, 1e3])
+        if math.isfinite(lo):
+            assert np.all(fam.cdf(lo - off) == 0.0)
+            assert fam.cdf(np.float64(lo)) == 0.0
+        if math.isfinite(hi):
+            assert np.all(fam.cdf(hi + off) == 1.0)
+            assert fam.cdf(np.float64(hi)) == 1.0
 
 
 class TestParetoSampling:

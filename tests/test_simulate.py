@@ -240,6 +240,20 @@ class TestSerialization:
         with pytest.raises(ValueError):
             read_binary(path)
 
+    @pytest.mark.parametrize("cut, extra, message", [
+        (-24, b"", "2376 bytes of columns, expected 24[*]n = 2400"),
+        (None, b"\0" * 8, "2408 bytes of columns, expected 24[*]n = 2400"),
+        (30, b"", "metadata is not JSON"),
+        (18, b"", "metadata is not JSON"),
+    ], ids=["cut-columns", "appended", "cut-metadata", "cut-length"])
+    def test_binary_damage_names_the_file(self, canonical_model, tmp_path, cut, extra,
+                                          message):
+        path = tmp_path / "sample.bin"
+        write_binary(draw_exceedances(canonical_model, 10.0, 100, 0), path)
+        path.write_bytes(path.read_bytes()[:cut] + extra)
+        with pytest.raises(ValueError, match=f"sample.bin: {message}"):
+            read_binary(path)
+
     @pytest.mark.parametrize("version, kind", [(1, 2), (2, 1)])
     def test_binary_rejects_other_versions_and_kinds(self, canonical_model, tmp_path,
                                                       version, kind):
