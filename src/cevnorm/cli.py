@@ -339,11 +339,11 @@ def _verdicts(cfg: Config, metrics: dict, *thresholds: str) -> dict:
 # commands: each returns (metrics, verdicts, files); its docstring is its help
 # ---------------------------------------------------------------------------
 
-def _t_name(t: float) -> str:
-    """t in a file name: %g where that is exact, else the shortest repr, so
-    distinct values get distinct names."""
-    short = f"{t:g}"
-    return short if float(short) == t else repr(t)
+def _exact_g(x: float) -> str:
+    """x in a file name or metric key: %g where that is exact, else the
+    shortest repr, so distinct values get distinct names."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
 
 
 def cmd_simulate(cfg: Config, threads: int):
@@ -354,7 +354,7 @@ def cmd_simulate(cfg: Config, threads: int):
                                   threads=threads)
         out = cfg.out_dir()
         # not Path.with_suffix: a fractional t puts a dot inside the stem
-        stem = f"sample_t{_t_name(t)}_n{cfg.run['n']}_seed{cfg.run['seed']}"
+        stem = f"sample_t{_exact_g(t)}_n{cfg.run['n']}_seed{cfg.run['seed']}"
         if "csv" in cfg.io["formats"]:
             path = out / f"{stem}.csv"
             write_csv(sample, path)
@@ -438,7 +438,7 @@ def cmd_chi(cfg: Config, threads: int):
     u2 = pseudo_uniforms(sample.x2)
     metrics = {"n": cfg.run["n"]}
     for p in cfg.analysis["p_levels"]:
-        metrics[f"chi_{p:g}"] = chi_hat(u0, u1, u2, p)
+        metrics[f"chi_{_exact_g(p)}"] = chi_hat(u0, u1, u2, p)
     return metrics, {}, []
 
 

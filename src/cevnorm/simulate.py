@@ -13,6 +13,7 @@ sample bit for bit.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -88,34 +89,32 @@ def draw_exceedances(
     if n > MAX_ROWS:
         raise CapacityError(f"n={n} exceeds the row budget of {MAX_ROWS}")
 
-    bounds = [(lo, min(lo + CHUNK_ROWS, n)) for lo in range(0, n, CHUNK_ROWS)]
+    out = np.empty((3, n))
 
-    def run(chunk):
-        lo, hi = chunk
+    def run(lo):
+        # each chunk fills only its own columns of out
+        hi = min(lo + CHUNK_ROWS, n)
         u = _row_uniforms(seed, stream, lo, hi)
-        u = np.maximum(u, 2.0**-53)
+        np.maximum(u, 2.0**-53, out=u)
+        rows = out[:, lo:hi]
         # numpy's error state does not reach pool threads, so set it here;
         # rows that overflow are counted and raised on below
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            x0 = pareto_exceedance_from_uniform(t, u[:, 0])
-            x1, x2 = conditional_from_uniforms(model, x0, u[:, 1], u[:, 2])
-        bad = np.count_nonzero(~(np.isfinite(x0) & np.isfinite(x1) & np.isfinite(x2)))
-        return x0, x1, x2, bad
+            rows[0] = pareto_exceedance_from_uniform(t, u[:, 0])
+            rows[1], rows[2] = conditional_from_uniforms(model, rows[0], u[:, 1], u[:, 2])
+        return hi - lo - np.count_nonzero(np.isfinite(rows).all(axis=0))
 
-    if threads > 1 and len(bounds) > 1:
+    starts = range(0, n, CHUNK_ROWS)
+    if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(run, bounds))
+            n_bad = sum(pool.map(run, starts))
     else:
-        chunks = [run(b) for b in bounds]
-    n_bad = sum(c[3] for c in chunks)
+        n_bad = sum(map(run, starts))
     if n_bad:
         raise FloatingPointError(f"{n_bad} of {n} rows are not finite")
 
-    x0 = np.concatenate([c[0] for c in chunks])
-    x1 = np.concatenate([c[1] for c in chunks])
-    x2 = np.concatenate([c[2] for c in chunks])
     return ExceedanceSample(
-        x0=x0, x1=x1, x2=x2, t=float(t), n=n, seed=seed,
+        x0=out[0], x1=out[1], x2=out[2], t=float(t), n=n, seed=seed,
         model_id=model.content_hash(), stream=stream,
     )
 
@@ -147,8 +146,9 @@ def write_csv(sample: ExceedanceSample, path) -> None:
     """Write x0,x1,x2 as CSV with shortest round-trip float formatting."""
     with open(path, "w", newline="") as fh:
         fh.write("x0,x1,x2\n")
-        for row in zip(sample.x0, sample.x1, sample.x2):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for lo in range(0, len(sample.x0), CHUNK_ROWS):
+            cols = [c[lo:lo + CHUNK_ROWS].tolist() for c in (sample.x0, sample.x1, sample.x2)]
+            fh.write("".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in zip(*cols)))
 
 
 def write_binary(sample: ExceedanceSample, path) -> None:
@@ -160,7 +160,7 @@ def write_binary(sample: ExceedanceSample, path) -> None:
         fh.write(_MAGIC + struct.pack("<II", 1, 1))
         fh.write(struct.pack("<I", len(meta)) + meta)
         for col in (sample.x0, sample.x1, sample.x2):
-            fh.write(np.ascontiguousarray(col, dtype="<f8").tobytes())
+            fh.write(memoryview(np.ascontiguousarray(col, dtype="<f8")).cast("B"))
 
 
 def read_binary(path) -> ExceedanceSample:
@@ -185,13 +185,17 @@ def read_binary(path) -> ExceedanceSample:
         except ValueError as exc:
             raise ValueError(f"{path}: metadata is not JSON ({exc})") from exc
         n = meta["n"]
-        body = fh.read()
-    if len(body) != 24 * n:
-        raise ValueError(f"{path}: {len(body)} bytes of columns, expected 24*n = {24 * n} "
+        # the size is checked before allocating, so a damaged n cannot ask
+        # for any amount of memory, and again after reading
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left == 24 * n:
+            data = np.empty((3, n), dtype="<f8")
+            left = fh.readinto(memoryview(data).cast("B"))
+    if left != 24 * n:
+        raise ValueError(f"{path}: {left} bytes of columns, expected 24*n = {24 * n} "
                          f"for n = {n}")
-    data = np.frombuffer(body, dtype="<f8").reshape(3, n)
     return ExceedanceSample(
-        x0=data[0].copy(), x1=data[1].copy(), x2=data[2].copy(),
+        x0=data[0], x1=data[1], x2=data[2],
         t=meta["t"], n=n, seed=meta["seed"], model_id=meta["model_id"],
         stream=meta.get("stream", 0),
     )

@@ -505,7 +505,12 @@ class TestSurfacesAndGap:
 
 
 class TestChi:
-    def test_near_comonotone_model(self, tmp_path):
+    # levels that print alike under %g keep their own keys
+    @pytest.mark.parametrize("levels, keys", [
+        ([0.5, 0.9], ["chi_0.5", "chi_0.9"]),
+        ([0.9, 0.9000001], ["chi_0.9", "chi_0.9000001"]),
+    ])
+    def test_near_comonotone_model(self, tmp_path, levels, keys):
         # rho = 1, kappa = 1 with tiny noise makes X_i an almost strictly
         # increasing function of X0, so all three tails move together
         model = {"erv1": {"rho": 1.0, "kappa": 1.0},
@@ -514,12 +519,13 @@ class TestChi:
                  "noise2": {"family": "gaussian", "scale": 1e-8}}
         cfg = {"model": model,
                "run": {"n": 10**4, "seed": 0},
-               "analysis": {"p_levels": [0.5, 0.9]},
+               "analysis": {"p_levels": levels},
                "io": {"output_dir": str(tmp_path)}}
         assert run("chi", write_config(tmp_path, cfg)) == EXIT_PASS
-        rep = read_report(tmp_path, "chi")
-        assert rep["metrics"]["chi_0.5"] >= 0.9
-        assert rep["metrics"]["chi_0.9"] >= 0.9
+        metrics = read_report(tmp_path, "chi")["metrics"]
+        assert sorted(metrics) == sorted(["n", *keys])
+        for key in keys:
+            assert metrics[key] >= 0.9
 
     def test_independent_synthetic(self, tmp_path):
         cfg = {"model": CONSTANT,

@@ -1,9 +1,11 @@
 """Tests for the conditioned Monte Carlo engine, norming transforms, and
 sample serialization."""
 
+import dataclasses
 import math
 import struct
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -38,6 +40,24 @@ def _pinned_sample(model, t, x0, x1, x2, seed=0):
     arr = lambda v: np.asarray([float(v)])
     return ExceedanceSample(x0=arr(x0), x1=arr(x1), x2=arr(x2), t=float(t),
                             n=1, seed=seed, model_id=model.content_hash())
+
+
+def csv_reference(sample, path):
+    """Per-row CSV writer: the reference for write_csv's block formatting."""
+    with open(path, "w", newline="") as fh:
+        fh.write("x0,x1,x2\n")
+        for row in zip(sample.x0, sample.x1, sample.x2):
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+def _peak_bytes(fn, *args, **kwargs):
+    """Peak traced allocation while fn runs."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestDrawExceedances:
@@ -222,6 +242,16 @@ class TestSerialization:
         parsed = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
         np.testing.assert_array_equal(parsed, np.column_stack([s.x0, s.x1, s.x2]))
 
+    @pytest.mark.parametrize("case", ["block-boundary", "pinned"])
+    def test_csv_matches_per_row_reference(self, canonical_model, tmp_path, case):
+        if case == "pinned":
+            s = _pinned_sample(canonical_model, 10.0, 1e308, 5e-324, -0.0)
+        else:
+            s = draw_exceedances(canonical_model, 10.0, CHUNK_ROWS + 3, 4)
+        write_csv(s, tmp_path / "blocks.csv")
+        csv_reference(s, tmp_path / "rows.csv")
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
     def test_binary_roundtrip(self, canonical_model, tmp_path):
         s = draw_exceedances(canonical_model, 10.0, 123, 9, stream=4)
         path = tmp_path / "sample.bin"
@@ -254,6 +284,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"sample.bin: {message}"):
             read_binary(path)
 
+    def test_binary_huge_n_is_refused_before_allocating(self, canonical_model, tmp_path):
+        path = tmp_path / "sample.bin"
+        s = draw_exceedances(canonical_model, 10.0, 100, 0)
+        write_binary(dataclasses.replace(s, n=10**15), path)
+        with pytest.raises(ValueError, match="sample.bin: 2400 bytes of columns"):
+            read_binary(path)
+
     @pytest.mark.parametrize("version, kind", [(1, 2), (2, 1)])
     def test_binary_rejects_other_versions_and_kinds(self, canonical_model, tmp_path,
                                                       version, kind):
@@ -264,3 +301,25 @@ class TestSerialization:
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match=f"version {version} kind {kind}"):
             read_binary(path)
+
+
+class TestMemory:
+    """The sampler and the binary I/O hold the sample's 24 bytes per row,
+    plus a bounded working set per chunk, and no copy of it."""
+
+    N = 16 * CHUNK_ROWS
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_draw_peak_is_one_sample(self, canonical_model, threads):
+        peak = _peak_bytes(draw_exceedances, canonical_model, 10.0, self.N, 0,
+                           threads=threads)
+        assert peak < 24 * self.N + 16e6
+
+    def test_write_binary_copies_nothing(self, canonical_model, tmp_path):
+        s = draw_exceedances(canonical_model, 10.0, self.N, 0)
+        assert _peak_bytes(write_binary, s, tmp_path / "sample.bin") < 1e6
+
+    def test_read_binary_peak_is_one_sample(self, canonical_model, tmp_path):
+        path = tmp_path / "sample.bin"
+        write_binary(draw_exceedances(canonical_model, 10.0, self.N, 0), path)
+        assert _peak_bytes(read_binary, path) < 24 * self.N + 1e6
