@@ -20,6 +20,7 @@ import operator
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,7 @@ from .limits import (
 from .models import FAMILIES, CiModel, NoiseLaw, noise_cdf
 from .norming import ErvParams
 from .simulate import (
-    CapacityError,
+    MAX_ROWS,
     apply_deterministic_norming,
     apply_random_norming,
     draw_exceedances,
@@ -172,6 +173,10 @@ def _block(schema: dict):
 
 FINITE = _value(float, "a finite number")
 POSITIVE = _value(float, "a finite number > 0", lambda v: v > 0)
+PROBABILITY = _value(float, "a probability in (0, 1)", lambda v: 0 < v < 1)
+# a threshold on a sup-distance between CDFs, which lies in [0, 1]; one
+# outside it would make the verdict constant
+DISTANCE = _value(float, "a number in [0, 1]", lambda v: 0 <= v <= 1)
 BOOL = _value(bool, "true or false")
 STRING = _value(str, "a string")
 FAMILY = _value(str, f"one of {', '.join(FAMILIES)}", lambda v: v in FAMILIES)
@@ -195,7 +200,8 @@ SCHEMA = {
     "run": (_block({
         "t": (_value(float, "a finite number >= 1", lambda v: v >= 1), 50.0),
         "t_list": (_t_list, None),
-        "n": (_value(int, "an integer >= 1", lambda v: v >= 1), 100_000),
+        "n": (_value(int, f"an integer in [1, {MAX_ROWS}]", lambda v: 1 <= v <= MAX_ROWS),
+              100_000),
         "seed": (SEED, 42),
     }), {}),
     "analysis": (_block({
@@ -206,9 +212,9 @@ SCHEMA = {
         "p_levels": (_levels, [0.9, 0.99, 0.999]),
         "x_grid": (_block({"x1": (GRID_AXIS, REQUIRED), "x2": (GRID_AXIS, REQUIRED)}), None),
         "thresholds": (_block({
-            "delta_max": (FINITE, None), "sup_max": (FINITE, None),
-            "level": (FINITE, 0.01), "gap_max": (FINITE, None),
-            "gap_min": (FINITE, None), "expect_dependence": (BOOL, False),
+            "delta_max": (DISTANCE, None), "sup_max": (DISTANCE, None),
+            "level": (PROBABILITY, 0.01), "gap_max": (DISTANCE, None),
+            "gap_min": (DISTANCE, None), "expect_dependence": (BOOL, False),
         }), None),
     }), {}),
     "io": (_block({
@@ -224,7 +230,7 @@ SCHEMA = {
                                  lambda v: len(v) == 2 and all(isinstance(c, str) for c in v)),
                           REQUIRED),
         "family": (FAMILY, "gaussian"),
-        "p_t": (_value(float, "a probability in (0, 1)", lambda v: 0 < v < 1), 0.95),
+        "p_t": (PROBABILITY, 0.95),
         "delimiter": (_value(str, "one character", lambda v: len(v) == 1), ","),
     }), None),
 }
@@ -284,6 +290,19 @@ class Config:
 # reports and verdicts
 # ---------------------------------------------------------------------------
 
+def write_json(path, obj) -> None:
+    """The one JSON writer: sorted keys, indent 2, a trailing newline.
+
+    A NaN or infinity raises FloatingPointError before the file opens.
+    """
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise FloatingPointError(f"{path}: {exc}") from exc
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 def write_report(cfg: Config, command: str, metrics: dict, verdicts: dict,
                  started: float, files: list) -> dict:
     """Write report_<command>.json; a non-finite metric raises before any file opens."""
@@ -300,10 +319,7 @@ def write_report(cfg: Config, command: str, metrics: dict, verdicts: dict,
         "version": __version__,
         "wall_clock_s": round(time.time() - started, 3),
     }
-    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    path = cfg.out_dir() / f"report_{command.replace('-', '_')}.json"
-    with open(path, "w") as fh:
-        fh.write(text)
+    write_json(cfg.out_dir() / f"report_{command.replace('-', '_')}.json", report)
     return report
 
 
@@ -452,7 +468,7 @@ def cmd_diagnose(cfg: Config, threads: int):
     fits = fit_dataset(dataset, d["family"], d["p_t"])
     test = residual_diagnostic(dataset, fits, cfg.analysis["b"], cfg.run["seed"])
     fits_path = cfg.out_dir() / "fitted_norming.json"
-    fits.to_json(fits_path)
+    write_json(fits_path, asdict(fits))
     z1, z2 = residuals(dataset, fits)
     res_path = cfg.out_dir() / "residuals.csv"
     write_residuals_csv(z1, z2, res_path)
@@ -530,9 +546,6 @@ def main(argv=None) -> int:
     except (QuadConvergenceError, FitConvergenceError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except CapacityError as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -13,9 +13,8 @@ shortcut conditional independence buys.
 from __future__ import annotations
 
 import csv
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -24,6 +23,7 @@ from scipy.optimize import minimize_scalar
 
 from .models import FAMILIES, NOISE_FAMILIES, NoiseLaw
 from .norming import ErvParams, normed, normed_log, normed_terms
+from .simulate import write_table
 from .stats import TestResult, permutation_independence_test, pseudo_uniforms
 
 MIN_FIT_ROWS = 100
@@ -84,11 +84,6 @@ class FittedNorming:
     fit2: NormingFit
     p_t: float
     n_exceedances: int
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, sort_keys=True, indent=2)
-            fh.write("\n")
 
 
 def load_csv(path, conditioning_column: str, value_columns: Sequence[str],
@@ -414,7 +409,4 @@ def residual_diagnostic(dataset: Dataset, fits: FittedNorming,
 
 
 def write_residuals_csv(z1, z2, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("z1,z2\n")
-        for a, b in zip(z1, z2):
-            fh.write(f"{float(a)!r},{float(b)!r}\n")
+    write_table(path, ("z1", "z2"), (z1, z2))

@@ -25,6 +25,7 @@ from scipy.optimize.elementwise import bracket_root, find_root
 
 from .models import NOISE_FAMILIES, CiModel, noise_cdf
 from .norming import limit_shift, limit_shift_inverse
+from .simulate import write_table
 from .stats import DEFAULT_LEVELS
 
 # tanh-sinh nodes near u = 0 can be subnormal, where 1/u overflows
@@ -167,7 +168,7 @@ class GapResult:
 
     gap: float
     argmax: tuple
-    table: tuple = field(repr=False, default=())  # rows (x1, x2, H, H1H2, diff)
+    table: np.ndarray = field(repr=False, compare=False)  # (k, 5): x1, x2, H, H1H2, diff
 
 
 def gap_on_grid(model: CiModel, x1s, x2s, abs_tol: float = 1e-9) -> GapResult:
@@ -186,7 +187,7 @@ def gap_on_grid(model: CiModel, x1s, x2s, abs_tol: float = 1e-9) -> GapResult:
     table = np.stack([a, b, h, prod, diff], axis=-1).reshape(-1, 5)
     return GapResult(gap=float(abs(diff[k1, k2])),
                      argmax=(float(x1s[k1]), float(x2s[k2])),
-                     table=tuple(map(tuple, table.tolist())))
+                     table=table)
 
 
 def factorization_gap(model: CiModel, levels=DEFAULT_LEVELS,
@@ -199,7 +200,4 @@ def factorization_gap(model: CiModel, levels=DEFAULT_LEVELS,
 
 
 def write_gap_csv(result: GapResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("x1,x2,H,H1H2,diff\n")
-        for row in result.table:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    write_table(path, ("x1", "x2", "H", "H1H2", "diff"), result.table.T)

@@ -30,10 +30,6 @@ MAX_ROWS = 50_000_000  # row budget of one draw
 _MAGIC = b"CEVNSMP1"  # 8 bytes; header is magic + u32 version + u32 kind
 
 
-class CapacityError(RuntimeError):
-    """Requested sample exceeds the configured memory budget."""
-
-
 class ModelMismatchError(ValueError):
     """Sample was generated from a different model than the one supplied."""
 
@@ -87,7 +83,7 @@ def draw_exceedances(
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > MAX_ROWS:
-        raise CapacityError(f"n={n} exceeds the row budget of {MAX_ROWS}")
+        raise ValueError(f"n={n} exceeds the row budget of {MAX_ROWS}")
 
     out = np.empty((3, n))
 
@@ -142,13 +138,24 @@ def apply_deterministic_norming(sample: ExceedanceSample, model: CiModel) -> Nor
 # serialization
 # ---------------------------------------------------------------------------
 
-def write_csv(sample: ExceedanceSample, path) -> None:
-    """Write x0,x1,x2 as CSV with shortest round-trip float formatting."""
+def write_table(path, names, columns) -> None:
+    """Write equal-length float columns as CSV under the header names.
+
+    The one CSV writer: each value is its shortest round-trip repr, and
+    rows are formatted in blocks of CHUNK_ROWS, so a block's strings are
+    the only copy held.
+    """
+    columns = [np.asarray(c, dtype=float) for c in columns]
     with open(path, "w", newline="") as fh:
-        fh.write("x0,x1,x2\n")
-        for lo in range(0, len(sample.x0), CHUNK_ROWS):
-            cols = [c[lo:lo + CHUNK_ROWS].tolist() for c in (sample.x0, sample.x1, sample.x2)]
-            fh.write("".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in zip(*cols)))
+        fh.write(",".join(names) + "\n")
+        for lo in range(0, len(columns[0]), CHUNK_ROWS):
+            cells = [map(repr, c[lo:lo + CHUNK_ROWS].tolist()) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def write_csv(sample: ExceedanceSample, path) -> None:
+    """Write x0,x1,x2 as CSV."""
+    write_table(path, ("x0", "x1", "x2"), (sample.x0, sample.x1, sample.x2))
 
 
 def write_binary(sample: ExceedanceSample, path) -> None:
@@ -167,7 +174,8 @@ def read_binary(path) -> ExceedanceSample:
     """Load an ExceedanceSample written by write_binary.
 
     Raises ValueError naming the path if the file is not a version-1
-    cache, its metadata is not JSON, or its columns are not exactly
+    cache, its metadata is not a JSON object with keys t, n, seed and
+    model_id and an integer n >= 0, or its columns are not exactly
     3 x n float64 values.
     """
     with open(path, "rb") as fh:
@@ -184,7 +192,12 @@ def read_binary(path) -> ExceedanceSample:
             meta = json.loads(blob)
         except ValueError as exc:
             raise ValueError(f"{path}: metadata is not JSON ({exc})") from exc
+        if not (isinstance(meta, dict) and {"t", "n", "seed", "model_id"} <= meta.keys()):
+            raise ValueError(f"{path}: metadata is not an object with keys "
+                             "t, n, seed and model_id")
         n = meta["n"]
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+            raise ValueError(f"{path}: metadata n is not an integer >= 0: {n!r}")
         # the size is checked before allocating, so a damaged n cannot ask
         # for any amount of memory, and again after reading
         left = os.fstat(fh.fileno()).st_size - fh.tell()

@@ -103,6 +103,18 @@ class TestConfigValidation:
         ("simulate", {"run": {"t_list": [10, 20, 10.0]}}, "run.t_list"),
         ("simulate", {"run": {"seed": -1}}, "run.seed"),
         ("simulate", {"run": {"seed": 2**64}}, "run.seed"),
+        ("verify-rn", {"analysis": {"thresholds": {"level": -1}}}, "analysis.thresholds.level"),
+        ("verify-rn", {"analysis": {"thresholds": {"level": 2}}}, "analysis.thresholds.level"),
+        ("verify-rn", {"analysis": {"thresholds": {"level": 0}}}, "analysis.thresholds.level"),
+        ("verify-rn", {"analysis": {"thresholds": {"level": 1}}}, "analysis.thresholds.level"),
+        ("verify-rn", {"analysis": {"thresholds": {"delta_max": -0.1}}},
+         "analysis.thresholds.delta_max"),
+        ("verify-dn", {"analysis": {"thresholds": {"sup_max": 1.5}}},
+         "analysis.thresholds.sup_max"),
+        ("gap", {"analysis": {"thresholds": {"gap_max": 2}}}, "analysis.thresholds.gap_max"),
+        ("gap", {"analysis": {"thresholds": {"gap_min": -1}}}, "analysis.thresholds.gap_min"),
+        ("simulate", {"run": {"n": 60_000_000}}, "run.n"),
+        ("simulate", {"run": {"n": 0}}, "run.n"),
     ])
     def test_non_finite_or_out_of_range_exits_2_before_work(self, tmp_path, capsys,
                                                             command, block, field):
@@ -169,10 +181,12 @@ class TestConfigValidation:
         cfg = {"schema_version": 99, "model": CANONICAL}
         assert run("simulate", write_config(tmp_path, cfg)) == EXIT_CONFIG
 
-    def test_capacity_limit(self, tmp_path):
+    def test_capacity_limit(self, tmp_path, capsys):
         cfg = {"model": CANONICAL, "run": {"n": 10**9},
                "io": {"output_dir": str(tmp_path)}}
         assert run("simulate", write_config(tmp_path, cfg)) == EXIT_CONFIG
+        assert ("config error: run.n: expected an integer in [1, 50000000], "
+                "got 1000000000") in capsys.readouterr().err
 
     def test_threads_must_be_positive(self, tmp_path, capsys):
         cfg = {"model": CANONICAL, "io": {"output_dir": str(tmp_path)}}
@@ -335,6 +349,12 @@ class TestVerify:
         assert run("gap", write_config(tmp_path, cfg)) == EXIT_NUMERIC
         assert "metric argmax_x1 is not finite" in capsys.readouterr().err
         assert not (tmp_path / "out" / "report_gap.json").exists()
+
+    def test_non_finite_json_value_writes_no_file(self, tmp_path):
+        path = tmp_path / "fitted_norming.json"
+        with pytest.raises(FloatingPointError, match="fitted_norming.json"):
+            cli.write_json(path, {"fit1": {"objective": float("inf")}})
+        assert not path.exists()
 
     def test_verify_dn_canonical(self, tmp_path):
         cfg = {"model": CANONICAL,
@@ -567,7 +587,12 @@ class TestDiagnose:
         rep = read_report(tmp_path, "diagnose")
         assert rep["metrics"]["n_exceedances"] >= 150
         assert abs(rep["metrics"]["rho1"] - 0.5) < 0.35  # small-sample fit
-        assert (tmp_path / "fitted_norming.json").exists()
+        text = (tmp_path / "fitted_norming.json").read_text()
+        fits = json.loads(text)
+        assert text == json.dumps(fits, sort_keys=True, indent=2) + "\n"
+        assert set(fits) == {"fit1", "fit2", "p_t", "n_exceedances"}
+        assert fits["fit1"]["erv"]["a"] > 0
+        assert np.isfinite(fits["fit2"]["objective"])
         assert (tmp_path / "residuals.csv").exists()
 
     def test_uniform_noise_fits(self, tmp_path):

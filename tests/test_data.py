@@ -2,7 +2,6 @@
 pseudo-likelihood norming fits, and the residual diagnostic."""
 
 import csv
-import json
 import math
 
 import numpy as np
@@ -300,16 +299,6 @@ class TestDatasetPipeline:
 
 
 class TestSerialization:
-    def test_fitted_norming_json(self, canonical_model, tmp_path):
-        ds = simulated_dataset(canonical_model, 5000, 1)
-        fits = fit_dataset(ds, "gaussian", 0.95)
-        path = tmp_path / "fits.json"
-        fits.to_json(path)
-        loaded = json.loads(path.read_text())
-        assert set(loaded) == {"fit1", "fit2", "p_t", "n_exceedances"}
-        assert loaded["fit1"]["erv"]["a"] > 0
-        assert math.isfinite(loaded["fit2"]["objective"])
-
     def test_residuals_csv(self, tmp_path):
         path = tmp_path / "res.csv"
         write_residuals_csv(np.array([1.0, 2.0]), np.array([3.0, 4.0]), path)

@@ -2,6 +2,7 @@
 sample serialization."""
 
 import dataclasses
+import json
 import math
 import struct
 import tempfile
@@ -14,11 +15,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cevnorm.data import write_residuals_csv
+from cevnorm.limits import GapResult, write_gap_csv
 from cevnorm.models import noise_cdf
 from cevnorm.norming import alpha, beta
 from cevnorm.simulate import (
     CHUNK_ROWS,
-    CapacityError,
     ExceedanceSample,
     ModelMismatchError,
     apply_deterministic_norming,
@@ -42,12 +44,24 @@ def _pinned_sample(model, t, x0, x1, x2, seed=0):
                             n=1, seed=seed, model_id=model.content_hash())
 
 
-def csv_reference(sample, path):
-    """Per-row CSV writer: the reference for write_csv's block formatting."""
+def csv_reference(path, names, columns):
+    """Per-row CSV writer: the reference for write_table's block formatting."""
     with open(path, "w", newline="") as fh:
-        fh.write("x0,x1,x2\n")
-        for row in zip(sample.x0, sample.x1, sample.x2):
+        fh.write(",".join(names) + "\n")
+        for row in zip(*columns):
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+# each table the program writes: its header and its writer called on
+# equal-length columns
+TABLES = {
+    "sample": (("x0", "x1", "x2"), lambda cols, path: write_csv(ExceedanceSample(
+        x0=cols[0], x1=cols[1], x2=cols[2], t=10.0, n=len(cols[0]), seed=0,
+        model_id="m"), path)),
+    "residuals": (("z1", "z2"), lambda cols, path: write_residuals_csv(*cols, path)),
+    "H-table": (("x1", "x2", "H", "H1H2", "diff"), lambda cols, path: write_gap_csv(
+        GapResult(gap=0.0, argmax=(0.0, 0.0), table=np.column_stack(cols)), path)),
+}
 
 
 def _peak_bytes(fn, *args, **kwargs):
@@ -151,8 +165,8 @@ class TestDrawExceedances:
         with pytest.raises(ValueError):
             draw_exceedances(canonical_model, 10.0, 0, 0)
 
-    def test_capacity_error(self, canonical_model):
-        with pytest.raises(CapacityError):
+    def test_row_budget(self, canonical_model):
+        with pytest.raises(ValueError, match="exceeds the row budget"):
             draw_exceedances(canonical_model, 10.0, 10**9, 0)
 
 
@@ -242,14 +256,18 @@ class TestSerialization:
         parsed = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
         np.testing.assert_array_equal(parsed, np.column_stack([s.x0, s.x1, s.x2]))
 
+    @pytest.mark.parametrize("table", list(TABLES))
     @pytest.mark.parametrize("case", ["block-boundary", "pinned"])
-    def test_csv_matches_per_row_reference(self, canonical_model, tmp_path, case):
+    def test_csv_matches_per_row_reference(self, canonical_model, tmp_path, table, case):
+        names, write = TABLES[table]
         if case == "pinned":
-            s = _pinned_sample(canonical_model, 10.0, 1e308, 5e-324, -0.0)
+            # every column holds each extreme value once
+            cols = [np.roll([1e308, 5e-324, -0.0], j) for j in range(len(names))]
         else:
             s = draw_exceedances(canonical_model, 10.0, CHUNK_ROWS + 3, 4)
-        write_csv(s, tmp_path / "blocks.csv")
-        csv_reference(s, tmp_path / "rows.csv")
+            cols = [s.x0, s.x1, s.x2, -s.x1, s.x2 / s.x0][:len(names)]
+        write(cols, tmp_path / "blocks.csv")
+        csv_reference(tmp_path / "rows.csv", names, cols)
         assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
     def test_binary_roundtrip(self, canonical_model, tmp_path):
@@ -281,6 +299,21 @@ class TestSerialization:
         path = tmp_path / "sample.bin"
         write_binary(draw_exceedances(canonical_model, 10.0, 100, 0), path)
         path.write_bytes(path.read_bytes()[:cut] + extra)
+        with pytest.raises(ValueError, match=f"sample.bin: {message}"):
+            read_binary(path)
+
+    @pytest.mark.parametrize("meta, message", [
+        ({"t": 10.0, "n": 2.5, "seed": 0, "model_id": "m"}, "metadata n is not an integer"),
+        ({"t": 10.0, "n": True, "seed": 0, "model_id": "m"}, "metadata n is not an integer"),
+        ({"t": 10.0, "n": -1, "seed": 0, "model_id": "m"}, "metadata n is not an integer"),
+        ([10.0, 2, 0, "m"], "metadata is not an object"),
+        ({"n": 2, "seed": 0, "model_id": "m"}, "metadata is not an object"),
+    ], ids=["fractional-n", "bool-n", "negative-n", "list", "no-t"])
+    def test_binary_bad_metadata_names_the_file(self, tmp_path, meta, message):
+        path = tmp_path / "sample.bin"
+        blob = json.dumps(meta).encode()
+        path.write_bytes(b"CEVNSMP1" + struct.pack("<III", 1, 1, len(blob)) + blob
+                         + b"\0" * 60)
         with pytest.raises(ValueError, match=f"sample.bin: {message}"):
             read_binary(path)
 
