@@ -46,6 +46,7 @@ from .limits import (
 from .models import FAMILIES, CiModel, NoiseLaw, noise_cdf
 from .norming import ErvParams
 from .simulate import (
+    BLOCK_ROWS,
     MAX_ROWS,
     apply_deterministic_norming,
     apply_random_norming,
@@ -364,22 +365,32 @@ def _exact_g(x: float) -> str:
 
 def cmd_simulate(cfg: Config, threads: int):
     """draw conditioned exceedance samples and write them out"""
+    n, seed = cfg.run["n"], cfg.run["seed"]
     files = []
     for t in cfg.t_values():
-        sample = draw_exceedances(cfg.model, t, cfg.run["n"], cfg.run["seed"],
-                                  threads=threads)
         out = cfg.out_dir()
         # not Path.with_suffix: a fractional t puts a dot inside the stem
-        stem = f"sample_t{_exact_g(t)}_n{cfg.run['n']}_seed{cfg.run['seed']}"
-        if "csv" in cfg.io["formats"]:
-            path = out / f"{stem}.csv"
-            write_csv(sample, path)
-            files.append(path)
-        if "binary" in cfg.io["formats"]:
-            path = out / f"{stem}.bin"
-            write_binary(sample, path)
-            files.append(path)
-    return {"n": cfg.run["n"], "t_values": cfg.t_values()}, {}, files
+        stem = f"sample_t{_exact_g(t)}_n{n}_seed{seed}"
+        paths = {fmt: out / f"{stem}.{ext}"
+                 for fmt, ext in (("csv", "csv"), ("binary", "bin"))
+                 if fmt in cfg.io["formats"]}
+        try:
+            # one block of rows at a time, each written where it belongs
+            for lo in range(0, n, BLOCK_ROWS):
+                block = draw_exceedances(cfg.model, t, min(BLOCK_ROWS, n - lo), seed,
+                                         threads=threads, start=lo)
+                if "csv" in paths:
+                    write_csv(block, paths["csv"], lo)
+                if "binary" in paths:
+                    write_binary(block, paths["binary"], lo, n)
+                del block  # so that the next block is not drawn beside it
+        except BaseException:
+            # a failed block leaves no part of this t's sample behind
+            for path in paths.values():
+                path.unlink(missing_ok=True)
+            raise
+        files += paths.values()
+    return {"n": n, "t_values": cfg.t_values()}, {}, files
 
 
 def _norm_metrics(cfg: Config, threads: int, mode: str):

@@ -4,6 +4,7 @@ codes, verdicts, report determinism, and each subcommand's behaviour."""
 import importlib.util
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,13 @@ from cevnorm.cli import (
     Config,
     main,
 )
-from cevnorm.simulate import draw_exceedances, write_csv
+from cevnorm.simulate import (
+    BLOCK_ROWS,
+    CHUNK_ROWS,
+    draw_exceedances,
+    write_binary,
+    write_csv,
+)
 
 from conftest import make_model
 
@@ -289,6 +296,62 @@ class TestSimulate:
         a = (tmp_path / "env" / "sample_t10_n2000_seed3.csv").read_bytes()
         b = (tmp_path / "plain" / "sample_t10_n2000_seed3.csv").read_bytes()
         assert a == b
+
+    # a smaller block keeps the CSV cases quick; the default block is
+    # checked on the binary file
+    @pytest.mark.parametrize("block, formats", [(CHUNK_ROWS, ["csv", "binary"]),
+                                                (BLOCK_ROWS, ["binary"])],
+                             ids=["chunk-blocks", "default-blocks"])
+    @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 3)],
+                             ids=["B-1", "B", "B+1", "2B+3"])
+    def test_files_equal_one_whole_draw(self, tmp_path, monkeypatch, block, formats,
+                                        blocks, extra):
+        monkeypatch.setattr(cli, "BLOCK_ROWS", block)
+        n = blocks * block + extra
+        cfg = {"model": CANONICAL, "run": {"n": n, "seed": 4, "t_list": [10, 50]},
+               "io": {"output_dir": str(tmp_path / "out"), "formats": formats}}
+        path = write_config(tmp_path, cfg)
+        assert run("simulate", path, "--threads", "2") == EXIT_PASS
+        model = Config.load(path).model
+        writers = {"csv": ("csv", write_csv), "binary": ("bin", write_binary)}
+        for t in (10, 50):
+            whole = draw_exceedances(model, t, n, 4)
+            for ext, write in map(writers.get, formats):
+                write(whole, tmp_path / f"whole.{ext}")
+                written = tmp_path / "out" / f"sample_t{t}_n{n}_seed4.{ext}"
+                assert written.read_bytes() == (tmp_path / f"whole.{ext}").read_bytes()
+
+    def test_memory_does_not_grow_with_n(self, tmp_path):
+        n = 8 * BLOCK_ROWS
+        cfg = {"model": CANONICAL, "run": {"n": n, "seed": 0, "t": 10},
+               "io": {"output_dir": str(tmp_path), "formats": ["binary"]}}
+        path = write_config(tmp_path, cfg)
+        tracemalloc.start()
+        try:
+            assert run("simulate", path, "--threads", "2") == EXIT_PASS
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / f"sample_t10_n{n}_seed0.bin").stat().st_size > 24 * n
+        # one block's 24 bytes per row and the per-chunk working set; the
+        # whole sample would be 24*n, 8 times the block
+        assert peak < 24 * BLOCK_ROWS + 16e6
+
+    def test_non_finite_later_block_leaves_no_sample(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "BLOCK_ROWS", CHUNK_ROWS)
+        # beta1(x0) = kappa*log(x0) overflows only past x0 of about 6.6e4:
+        # at seed 11 the first block is finite and the second is not
+        model = {**CANONICAL, "erv1": {"a": 1e-300, "kappa": 1.62e307}}
+        out = tmp_path / "out"
+        cfg = {"model": model, "run": {"n": 2 * CHUNK_ROWS, "seed": 11, "t": 1.0},
+               "io": {"output_dir": str(out), "formats": ["csv", "binary"]}}
+        path = write_config(tmp_path, cfg)
+        with np.errstate(all="ignore"):
+            draw_exceedances(Config.load(path).model, 1.0, CHUNK_ROWS, 11)
+            code = run("simulate", path)
+        assert code == EXIT_NUMERIC
+        assert f"rows from row {CHUNK_ROWS} are not finite" in capsys.readouterr().err
+        assert not any(out.iterdir())
 
 
 class TestVerify:

@@ -3,6 +3,7 @@ pseudo-likelihood norming fits, and the residual diagnostic."""
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +116,28 @@ class TestLoadCsv:
         path = write_file(tmp_path, "a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
             load_csv(path, "a", ["b"])
+
+
+class TestMemory:
+    """load_csv holds its clean rows as three float64 columns, not as a
+    Python tuple of floats per row."""
+
+    def test_load_peak_per_row(self, tmp_path):
+        n = 5 * 10**4
+        vals = np.random.default_rng(3).standard_normal((n, 3))
+        lines = [",".join(map(repr, row)) for row in vals.tolist()]
+        lines[::97] = ["x,1.0,2.0"] * len(lines[::97])
+        lines[1::89] = ["1.0,inf,2.0"] * len(lines[1::89])
+        path = write_file(tmp_path, "a,b,c\n" + "\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            ds = load_csv(path, "a", ["b", "c"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.n + ds.n_dropped == n and ds.n_dropped > 1000
+        # the columns while read, then their finite rows: about 50 bytes a row
+        assert peak < 64 * n
 
 
 class TestParetoMargins:

@@ -4,6 +4,7 @@ sample serialization."""
 import dataclasses
 import json
 import math
+import re
 import struct
 import tempfile
 import tracemalloc
@@ -20,6 +21,7 @@ from cevnorm.limits import GapResult, write_gap_csv
 from cevnorm.models import noise_cdf
 from cevnorm.norming import alpha, beta
 from cevnorm.simulate import (
+    BLOCK_ROWS,
     CHUNK_ROWS,
     ExceedanceSample,
     ModelMismatchError,
@@ -62,6 +64,12 @@ TABLES = {
     "H-table": (("x1", "x2", "H", "H1H2", "diff"), lambda cols, path: write_gap_csv(
         GapResult(gap=0.0, argmax=(0.0, 0.0), table=np.column_stack(cols)), path)),
 }
+
+
+@pytest.fixture(scope="module")
+def full_draw():
+    """One whole-sample draw of two blocks, for the tests that slice it."""
+    return draw_exceedances(make_model(), 10.0, 2 * BLOCK_ROWS, 5)
 
 
 def _peak_bytes(fn, *args, **kwargs):
@@ -137,6 +145,25 @@ class TestDrawExceedances:
                 assert other == outcomes[0]
             else:
                 np.testing.assert_array_equal(other, outcomes[0])
+
+    @settings(max_examples=8, deadline=None)
+    @given(lo=st.integers(0, BLOCK_ROWS + CHUNK_ROWS), m=st.integers(1, 3000),
+           threads=st.sampled_from([1, 2, 3]))
+    @example(lo=1, m=CHUNK_ROWS, threads=2)
+    @example(lo=CHUNK_ROWS - 1, m=2, threads=1)
+    @example(lo=CHUNK_ROWS, m=CHUNK_ROWS + 1, threads=3)
+    @example(lo=BLOCK_ROWS - 1, m=CHUNK_ROWS + 2, threads=2)
+    @example(lo=BLOCK_ROWS, m=BLOCK_ROWS - CHUNK_ROWS, threads=3)
+    def test_rows_from_start_equal_rows_of_one_draw(self, full_draw, lo, m, threads):
+        block = draw_exceedances(make_model(), 10.0, m, 5, threads=threads, start=lo)
+        assert block.n == m
+        for got, want in zip((block.x0, block.x1, block.x2),
+                             (full_draw.x0, full_draw.x1, full_draw.x2)):
+            np.testing.assert_array_equal(got, want[lo:lo + m])
+
+    def test_start_must_not_be_negative(self, canonical_model):
+        with pytest.raises(ValueError, match="start must be >= 0"):
+            draw_exceedances(canonical_model, 10.0, 10, 0, start=-1)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_overflow_raises_without_warnings(self, threads):
@@ -306,9 +333,10 @@ class TestSerialization:
         ({"t": 10.0, "n": 2.5, "seed": 0, "model_id": "m"}, "metadata n is not an integer"),
         ({"t": 10.0, "n": True, "seed": 0, "model_id": "m"}, "metadata n is not an integer"),
         ({"t": 10.0, "n": -1, "seed": 0, "model_id": "m"}, "metadata n is not an integer"),
+        ({"t": 10.0, "n": 0, "seed": 0, "model_id": "m"}, "metadata n is not an integer"),
         ([10.0, 2, 0, "m"], "metadata is not an object"),
         ({"n": 2, "seed": 0, "model_id": "m"}, "metadata is not an object"),
-    ], ids=["fractional-n", "bool-n", "negative-n", "list", "no-t"])
+    ], ids=["fractional-n", "bool-n", "negative-n", "zero-n", "list", "no-t"])
     def test_binary_bad_metadata_names_the_file(self, tmp_path, meta, message):
         path = tmp_path / "sample.bin"
         blob = json.dumps(meta).encode()
@@ -316,6 +344,74 @@ class TestSerialization:
                          + b"\0" * 60)
         with pytest.raises(ValueError, match=f"sample.bin: {message}"):
             read_binary(path)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("t", "x", "metadata t is not a finite number >= 1: 'x'"),
+        ("t", True, "metadata t is not a finite number >= 1: True"),
+        ("t", 0.5, "metadata t is not a finite number >= 1: 0.5"),
+        ("t", float("inf"), "metadata t is not a finite number >= 1: inf"),
+        ("t", float("nan"), "metadata t is not a finite number >= 1: nan"),
+        ("seed", 1.0, "metadata seed is not an integer in [0, 2**64): 1.0"),
+        ("seed", False, "metadata seed is not an integer in [0, 2**64): False"),
+        ("seed", -1, "metadata seed is not an integer in [0, 2**64): -1"),
+        ("seed", 2**64, "metadata seed is not an integer"),
+        ("model_id", 7, "metadata model_id is not a string: 7"),
+        ("stream", "0", "metadata stream is not an integer in [0, 2**64): '0'"),
+        ("stream", 2**64, "metadata stream is not an integer"),
+    ])
+    def test_binary_metadata_of_the_wrong_type_names_the_file(self, tmp_path, key,
+                                                              value, message):
+        path = tmp_path / "sample.bin"
+        meta = {"t": 10.0, "n": 2, "seed": 0, "model_id": "m", "stream": 0, key: value}
+        blob = json.dumps(meta).encode()
+        path.write_bytes(b"CEVNSMP1" + struct.pack("<III", 1, 1, len(blob)) + blob
+                         + b"\0" * 48)
+        with pytest.raises(ValueError, match=re.escape(f"sample.bin: {message}")):
+            read_binary(path)
+
+    def test_binary_write_refuses_what_read_refuses(self, canonical_model, tmp_path):
+        # the sampler keys seed -6 as 2**64 - 6, but a cache holds seeds in range
+        s = draw_exceedances(canonical_model, 10.0, 10, -6)
+        path = tmp_path / "sample.bin"
+        with pytest.raises(ValueError, match=re.escape(
+                "sample.bin: metadata seed is not an integer in [0, 2**64): -6")):
+            write_binary(s, path)
+        assert not path.exists()
+
+    def test_binary_metadata_ends_load(self, tmp_path):
+        # the ends of each range, and an integer t, still load
+        path = tmp_path / "sample.bin"
+        meta = {"t": 1, "n": 1, "seed": 2**64 - 1, "model_id": "", "stream": 2**64 - 1}
+        blob = json.dumps(meta).encode()
+        path.write_bytes(b"CEVNSMP1" + struct.pack("<III", 1, 1, len(blob)) + blob
+                         + b"\0" * 24)
+        back = read_binary(path)
+        assert (back.t, back.n, back.seed, back.stream) == (1, 1, 2**64 - 1, 2**64 - 1)
+
+    @pytest.mark.parametrize("n", [CHUNK_ROWS - 1, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 3])
+    def test_blocks_write_the_whole_sample_files(self, canonical_model, tmp_path, n):
+        whole = draw_exceedances(canonical_model, 10.0, n, 3)
+        write_binary(whole, tmp_path / "whole.bin")
+        write_csv(whole, tmp_path / "whole.csv")
+        # blocks of CHUNK_ROWS rows, the later ones first in the binary
+        # file: each block lands at its own rows
+        starts = list(range(0, n, CHUNK_ROWS))
+        for lo in starts[:1] + starts[:0:-1]:
+            block = draw_exceedances(canonical_model, 10.0, min(CHUNK_ROWS, n - lo), 3,
+                                     start=lo)
+            write_binary(block, tmp_path / "blocks.bin", lo, n)
+        for lo in starts:
+            block = draw_exceedances(canonical_model, 10.0, min(CHUNK_ROWS, n - lo), 3,
+                                     start=lo)
+            write_csv(block, tmp_path / "blocks.csv", lo)
+        for ext in ("bin", "csv"):
+            assert ((tmp_path / f"blocks.{ext}").read_bytes()
+                    == (tmp_path / f"whole.{ext}").read_bytes())
+
+    def test_block_past_n_is_refused(self, canonical_model, tmp_path):
+        block = draw_exceedances(canonical_model, 10.0, 10, 0, start=95)
+        with pytest.raises(ValueError, match="rows 95..104 do not fit in n = 100"):
+            write_binary(block, tmp_path / "sample.bin", 95, 100)
 
     def test_binary_huge_n_is_refused_before_allocating(self, canonical_model, tmp_path):
         path = tmp_path / "sample.bin"
