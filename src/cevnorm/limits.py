@@ -11,7 +11,9 @@ weight exactly and leaves a bounded integrand on (0, 1].  The integral is
 taken by tanh-sinh (double-exponential) quadrature over whole arrays of
 (x1, x2), in blocks of at most QUAD_BLOCK (point x piece) elements per
 call.  H factorises into its marginals iff one coordinate has
-(kappa, rho) = (0, 0).
+(kappa, rho) = (0, 0).  The marginal densities h_i are the same integral
+with factor i differentiated in x, and the marginal quantiles are found by
+Newton steps on them.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import tanhsinh
-from scipy.optimize.elementwise import bracket_root, find_root
 
 from .models import NOISE_FAMILIES, CiModel, noise_cdf
 from .norming import limit_shift, limit_shift_inverse
@@ -30,9 +31,19 @@ from .stats import DEFAULT_LEVELS
 
 # tanh-sinh nodes near u = 0 can be subnormal, where 1/u overflows
 _U_MIN = np.finfo(float).tiny
-# bracket_root grows [-1, 1] to [-(2**(k+1) - 1), 2**(k+1) - 1] in k
-# steps; 38 steps reach +-(2**39 - 1), the last bracket inside +-1e12
-_BRACKET_STEPS = 38
+# the quantile search tabulates each marginal at 0 and +-(2**k - 1),
+# k = 1..39: the ends a bracket grown by doubling from [-1, 1] reaches,
+# the last inside +-1e12
+_NODES = np.concatenate([-(2.0 ** np.arange(39, 0, -1) - 1), [0.0],
+                         2.0 ** np.arange(1, 40) - 1])
+# Newton steps per quantile; pure bisection from the widest node pair
+# reaches the step tolerance in 50
+_NEWTON_STEPS = 100
+# a quantile is final once its Newton or bisection step is at most this
+# plus 4 ulps of the iterate
+_XATOL = 1e-8
+# cells of the grid on which the cubic Hermite start is located
+_HERMITE_CELLS = 64
 # (point x piece) elements per tanhsinh call; a call's working arrays
 # take about 5 KB per element.  On the limit-law benchmark's 20 x 20
 # grids, peak RSS is 2 MB above 103 MB at 512 and 4 MB at 1024, for no
@@ -67,14 +78,37 @@ def _kinks(model: CiModel, i: int, x) -> list:
     return out
 
 
-def _integrate(model: CiModel, x1, x2, abs_tol: float):
-    """int_0^1 G1 G2 du at every point of the broadcast (x1, x2)."""
+def _factor(model: CiModel, i: int, x, v, density):
+    """Factor i of the integrand at v: G_i of the shifted x, or, where
+    density holds, its x-derivative g_i(shift) * v**-rho_i.
+
+    d limit_shift/dx is v**-rho on both branches of the shift.
+    """
+    noise, erv = model.noise(i), model.erv(i)
+    z = limit_shift(x, v, erv)
+    out = noise_cdf(noise, z)
+    if np.any(density):
+        with np.errstate(over="ignore", invalid="ignore"):
+            log_g = NOISE_FAMILIES[noise.family].log_pdf((z - noise.location) / noise.scale)
+            g = np.exp(log_g - erv.rho * np.log(v)) / noise.scale
+        # at z = -inf the Gumbel log-density is inf - inf
+        out = np.where(density, np.where(np.isinf(z), 0.0, g), out)
+    return out
+
+
+def _integrate(model: CiModel, x1, x2, abs_tol: float, deriv=0):
+    """int_0^1 G1 G2 du at every point of the broadcast (x1, x2, deriv).
+
+    deriv names the coordinate whose factor is differentiated in x, 0 for
+    none.  A noise density jumps only where its CDF has a kink, so the
+    same split at the kinks serves both.
+    """
     if not abs_tol > 0:
         raise ValueError("abs_tol must be positive")
-    x1, x2 = np.broadcast_arrays(np.asarray(x1, dtype=float),
-                                 np.asarray(x2, dtype=float))
+    x1, x2, deriv = np.broadcast_arrays(np.asarray(x1, dtype=float),
+                                        np.asarray(x2, dtype=float), np.asarray(deriv))
     shape = x1.shape
-    x1, x2 = x1.ravel(), x2.ravel()
+    x1, x2, deriv = x1.ravel(), x2.ravel(), deriv.ravel()
     zero = np.zeros(x1.shape)
     # split (0, 1) at the kinks; the pieces lie along a trailing axis, and
     # padding pieces have zero length
@@ -83,10 +117,9 @@ def _integrate(model: CiModel, x1, x2, abs_tol: float):
     lo, hi = edges[:, :-1], edges[:, 1:]
     hi = np.where(hi - lo <= _SLIVER_ULPS * np.spacing(hi), lo, hi)
 
-    def f(u, a, b):
+    def f(u, a, b, d):
         v = 1.0 / np.maximum(u, _U_MIN)
-        return (noise_cdf(model.noise1, limit_shift(a, v, model.erv1))
-                * noise_cdf(model.noise2, limit_shift(b, v, model.erv2)))
+        return _factor(model, 1, a, v, d == 1) * _factor(model, 2, b, v, d == 2)
 
     total, error = np.empty(x1.size), np.empty(x1.size)
     ok = np.empty(x1.size, dtype=bool)
@@ -94,7 +127,7 @@ def _integrate(model: CiModel, x1, x2, abs_tol: float):
     for start in range(0, x1.size, step):
         block = slice(start, start + step)
         res = tanhsinh(f, lo[block], hi[block],
-                       args=(x1[block, None], x2[block, None]),
+                       args=(x1[block, None], x2[block, None], deriv[block, None]),
                        atol=abs_tol / lo.shape[-1], rtol=0.0)
         total[block] = res.integral.sum(axis=-1)
         error[block] = res.error.sum(axis=-1)
@@ -124,42 +157,100 @@ def _coordinates(i) -> np.ndarray:
     return i
 
 
-def marginal_H(model: CiModel, i, x, abs_tol: float = 1e-9):
-    """Marginal H_i(x) (the other argument at +inf).
+def marginal_H(model: CiModel, i, x, abs_tol: float = 1e-9, order=0):
+    """Marginal H_i(x) (the other argument at +inf), or its density h_i(x)
+    where order is 1.
 
-    Broadcasts over the coordinate index i and x, so both margins take one
-    limit_H call; a float for scalar input.
+    Broadcasts over the coordinate index i, x and order, so both margins,
+    and H_i with h_i, take one quadrature call; a float for scalar input.
     """
-    i, x = _coordinates(i), np.asarray(x, dtype=float)
-    return limit_H(model, np.where(i == 1, x, math.inf),
-                   np.where(i == 2, x, math.inf), abs_tol)
+    i, x, order = _coordinates(i), np.asarray(x, dtype=float), np.asarray(order)
+    if not np.all((order == 0) | (order == 1)):
+        raise ValueError("order must be 0 or 1")
+    val = _integrate(model, np.where(i == 1, x, math.inf), np.where(i == 2, x, math.inf),
+                     abs_tol, np.where(order == 1, i, 0))
+    val = np.clip(val, 0.0, np.where(order == 0, 1.0, math.inf))
+    return float(val) if val.ndim == 0 else val
+
+
+def _hermite_root(lo, hi, f_lo, f_hi, d_lo, d_hi):
+    """A root in [lo, hi] of the cubic Hermite interpolant of f, where
+    f_lo < 0 <= f_hi and d_lo, d_hi are the slopes.
+
+    The first sign change on a grid of _HERMITE_CELLS cells is refined
+    linearly.
+    """
+    t = np.linspace(0.0, 1.0, _HERMITE_CELLS + 1)
+    width = (hi - lo)[:, None]
+    c = (f_lo[:, None] * (1 + 2 * t) * (1 - t) ** 2 + width * d_lo[:, None] * t * (1 - t) ** 2
+         + f_hi[:, None] * t * t * (3 - 2 * t) + width * d_hi[:, None] * t * t * (t - 1))
+    k = np.argmax(c >= 0.0, axis=1)
+    rows = np.arange(k.size)
+    c0, c1 = c[rows, k - 1], c[rows, k]
+    return lo + (hi - lo) * (t[k - 1] + (t[1] - t[0]) * c0 / (c0 - c1))
 
 
 def marginal_H_quantile(model: CiModel, i, p, abs_tol: float = 1e-9):
     """Solve marginal_H(i, x) = p for every (i, p) of the broadcast at once.
 
-    With i = [[1], [2]] one root search gives both margins' quantiles.  The
-    bracket grows from [-1, 1] and may not pass +-1e12.  A float for
-    scalar i and p.
+    One marginal_H call tabulates H_i and h_i at _NODES for each
+    coordinate in i.  The root lies between the first node where H_i
+    reaches p and the node before it, so it may not pass +-1e12.  From the
+    root of the cubic Hermite interpolant on that pair, a Newton iteration
+    on h_i takes H_i and h_i in one marginal_H call per step; a step that
+    would leave the bracket bisects it instead.  Each (i, p) is dropped
+    once its step is at most _XATOL, so its result does not depend on the
+    others.  With i = [[1], [2]] both margins' quantiles come from the
+    same calls.  A float for scalar i and p.
     """
     i, parr = np.broadcast_arrays(_coordinates(i), np.asarray(p, dtype=float))
     if not np.all((parr > 0.0) & (parr < 1.0)):
         raise ValueError("p must lie strictly inside (0, 1)")
-
-    def g(x, level, coord):
-        return marginal_H(model, coord, x, abs_tol) - level
-
-    br = bracket_root(g, -1.0, 1.0, args=(parr, i), maxiter=_BRACKET_STEPS)
-    if not np.all(br.success):
-        # report the last end tried on the side that found no sign change
-        end = np.where(br.f_bracket[0] > 0, br.bracket[0], br.bracket[1])
-        k = np.argmax(~br.success)
-        best = float(end.flat[k])
+    shape = parr.shape
+    i, parr = i.ravel(), parr.ravel()
+    coords = np.unique(i)
+    table = marginal_H(model, coords[:, None, None], _NODES[:, None], abs_tol, order=[0, 1])
+    H, h = np.moveaxis(table[np.searchsorted(coords, i)], -1, 0)
+    reached = H >= parr[:, None]
+    bad = reached[:, 0] | ~reached[:, -1]
+    if bad.any():
+        # report the node on the side that has no sign change
+        k = np.argmax(bad)
+        best = float(_NODES[0] if reached[k, 0] else _NODES[-1])
         raise QuadConvergenceError(
-            f"level {float(parr.flat[k])!r} of marginal H{int(i.flat[k])} has no "
+            f"level {float(parr[k])!r} of marginal H{int(i[k])} has no "
             f"root in the bracket [-1e12, 1e12] (last end tried {best})", best, math.inf)
-    root = find_root(g, br.bracket, args=(parr, i), tolerances={"xatol": 1e-8})
-    return float(root.x) if root.x.ndim == 0 else root.x
+    j = np.argmax(reached, axis=1)
+    rows = np.arange(j.size)
+    lo, hi = _NODES[j - 1], _NODES[j]
+    x = _hermite_root(lo, hi, H[rows, j - 1] - parr, H[rows, j] - parr,
+                      h[rows, j - 1], h[rows, j])
+
+    active = rows
+    for _ in range(_NEWTON_STEPS):
+        xa = x[active]
+        Hx, hx = marginal_H(model, i[active, None], xa[:, None], abs_tol, order=[0, 1]).T
+        f = Hx - parr[active]
+        lo[active] = np.where(f < 0.0, xa, lo[active])
+        hi[active] = np.where(f < 0.0, hi[active], xa)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = xa - f / hx
+        new = np.where((new >= lo[active]) & (new <= hi[active]), new,
+                       0.5 * (lo[active] + hi[active]))
+        new = np.where(f == 0.0, xa, new)
+        x[active] = new
+        active = active[np.abs(new - xa) > _XATOL + 4 * np.spacing(np.abs(xa))]
+        if not active.size:
+            break
+    else:
+        k = active[0]
+        best, gap = float(x[k]), float(hi[k] - lo[k])
+        raise QuadConvergenceError(
+            f"level {float(parr[k])!r} of marginal H{int(i[k])} did not converge in "
+            f"{_NEWTON_STEPS} Newton steps (best iterate {best}, bracket width {gap})",
+            best, gap)
+    x = x.reshape(shape)
+    return float(x) if x.ndim == 0 else x
 
 
 @dataclass(frozen=True)

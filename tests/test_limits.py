@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from cevnorm import limits
 from cevnorm.limits import (
     QUAD_BLOCK,
     GapResult,
@@ -18,12 +19,19 @@ from cevnorm.limits import (
     marginal_H_quantile,
     write_gap_csv,
 )
-from cevnorm.models import noise_cdf
+from cevnorm.models import FAMILIES, noise_cdf
 from cevnorm.simulate import apply_deterministic_norming, draw_exceedances
+from cevnorm.stats import DEFAULT_LEVELS
 
 from conftest import make_model
 
 SMALL_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
+BOTH = np.array([[1], [2]])
+
+
+def _mixed_model(family):
+    """Coordinates with different (rho, kappa, a), so the margins differ."""
+    return make_model(rho2=-0.3, kappa2=2.0, a2=1.5, family=family)
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +70,18 @@ class TestOptions:
     def test_convergence_error_names_the_coordinate(self, canonical_model):
         with pytest.raises(QuadConvergenceError, match="level 1e-30 of marginal H2"):
             marginal_H_quantile(canonical_model, [1, 2], [0.5, 1e-30])
+
+    def test_newton_step_cap_raises(self, canonical_model, monkeypatch):
+        monkeypatch.setattr(limits, "_NEWTON_STEPS", 1)
+        with pytest.raises(QuadConvergenceError,
+                           match="level 0.3 of marginal H2 did not converge") as exc:
+            marginal_H_quantile(canonical_model, 2, 0.3)
+        assert math.isfinite(exc.value.best)
+        assert 0 < exc.value.gap < 2
+
+    def test_density_order_validated(self, canonical_model):
+        with pytest.raises(ValueError, match="order"):
+            marginal_H(canonical_model, 1, 0.0, order=2)
 
 
 class TestLimitH:
@@ -244,6 +264,50 @@ class TestMarginalH:
         for p in (0.1, 0.5, 0.9):
             q = marginal_H_quantile(canonical_model, 1, p)
             assert marginal_H(canonical_model, 1, q) == pytest.approx(p, abs=1e-6)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_quantile_solves_to_rounding(self, family):
+        model = _mixed_model(family)
+        q = marginal_H_quantile(model, BOTH, DEFAULT_LEVELS)
+        np.testing.assert_allclose(marginal_H(model, BOTH, q),
+                                   np.broadcast_to(DEFAULT_LEVELS, q.shape), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("name", sorted(TestUniformNoise.MODELS))
+    def test_quantile_matches_mpmath_root(self, name):
+        model = TestUniformNoise.MODELS[name]
+        levels = (0.05, 0.5, 0.95)
+        q = marginal_H_quantile(model, BOTH, levels)
+        for k, p in enumerate(levels):
+            for x, oracle in ((q[0, k], lambda x: _uniform_H_oracle(model, x, math.inf) - p),
+                              (q[1, k], lambda x: _uniform_H_oracle(model, math.inf, x) - p)):
+                root = float(mpmath.findroot(oracle, (x - 1e-3, x + 1e-3), solver="anderson"))
+                assert abs(root - x) <= 1e-8
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_density_matches_central_difference(self, family):
+        # with uniform noise both densities are 0 at -0.5; at 0.4 the
+        # integrand has a kink in u, and at 1.6 and 3.0 one at each end of
+        # the support
+        model = _mixed_model(family)
+        x, step = np.array([-0.5, 0.4, 1.6, 3.0]), 1e-4
+        h = marginal_H(model, BOTH, x, order=1)
+        diff = (marginal_H(model, BOTH, x + step, abs_tol=1e-13)
+                - marginal_H(model, BOTH, x - step, abs_tol=1e-13)) / (2 * step)
+        assert np.all(h >= 0.0)
+        np.testing.assert_allclose(h, diff, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("family", ["gaussian", "uniform"])
+    def test_quantile_work_is_pinned(self, family, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return marginal_H(*args, **kwargs)
+
+        monkeypatch.setattr(limits, "marginal_H", counted)
+        marginal_H_quantile(make_model(family=family), BOTH, DEFAULT_LEVELS)
+        # one tabulation call and at most five Newton steps
+        assert len(calls) <= 6
 
     def test_quantile_domain(self, canonical_model):
         with pytest.raises(ValueError):
