@@ -260,7 +260,7 @@ class Config:
     @classmethod
     def load(cls, path, seed=None, out=None) -> "Config":
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 raw = json.load(fh)
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {path}") from exc
@@ -300,7 +300,7 @@ def write_json(path, obj) -> None:
         text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
         raise FloatingPointError(f"{path}: {exc}") from exc
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 

@@ -13,10 +13,12 @@ shortcut conditional independence buys.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -38,6 +40,13 @@ BRENT_XATOL = 1e-10
 NEWTON_MAXITER = 100
 NEWTON_TOL = 1e-12  # Newton decrement, in units of the log-likelihood
 MAX_BRACKET_STEPS = 200
+
+BLOCK_CHARS = 1 << 16  # text read per block, completed to the next newline
+SLICE_LINES = 64  # lines per np.loadtxt call; a refused slice is read row by row
+# a block holding one of these is read by csv.reader from there on: the
+# quote and "\r" move row ends off "\n", NUL is a csv.Error before Python
+# 3.11, and loadtxt strips \x1c-\x1f as whitespace where float() does not
+_CSV_ONLY = '"\r\x00\x1c\x1d\x1e\x1f'
 
 
 class DataError(ValueError):
@@ -89,41 +98,48 @@ class FittedNorming:
 
 def load_csv(path, conditioning_column: str, value_columns: Sequence[str],
              delimiter: str = ",") -> Dataset:
-    """Load and clean a trivariate CSV.
+    """Load and clean a trivariate UTF-8 CSV; a leading BOM is skipped.
 
     Blank lines are skipped.  A row that is too short, holds a cell float()
     rejects or holds a non-finite value is dropped and counted.  A repeated
     header name resolves to its last column, as in csv.DictReader.
+
+    That per-row rule (_read_rows) is the definition.  The text is read in
+    blocks of BLOCK_CHARS, and each slice of SLICE_LINES lines is parsed by
+    np.loadtxt, which strips a cell's whitespace and converts it by the
+    same PyOS_string_to_double as float().  A slice loadtxt refuses goes
+    through the rule, and so does the rest of the file from the first
+    block that holds a _CSV_ONLY character or is longer than csv's field
+    size limit.
     """
     if len(value_columns) != 2:
         raise ValueError("exactly two value columns are required")
     wanted = [conditioning_column, *value_columns]
     # three typed columns, 8 bytes per value, in place of a tuple per row
-    cols, dropped = [array("d"), array("d"), array("d")], 0
-    add0, add1, add2 = (c.append for c in cols)
+    cols, dropped = (array("d"), array("d"), array("d")), 0
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh, delimiter=delimiter)
-            index = {name: i for i, name in enumerate(next(reader, []))}
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            index = {name: i for i, name in
+                     enumerate(next(csv.reader(fh, delimiter=delimiter), []))}
             for col in wanted:
                 if col not in index:
                     raise DataError(f"column {col!r} not found in {path}")
-            i0, i1, i2 = (index[col] for col in wanted)
-            width = max(i0, i1, i2) + 1
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) < width:
-                    dropped += 1
-                    continue
-                try:
-                    v0, v1, v2 = float(row[i0]), float(row[i1]), float(row[i2])
-                except ValueError:
-                    dropped += 1
-                    continue
-                add0(v0)
-                add1(v1)
-                add2(v2)
+            usecols = tuple(index[col] for col in wanted)
+            while text := fh.read(BLOCK_CHARS):
+                if text[-1] != "\n":
+                    text += fh.readline()
+                # a block longer than csv's field size limit may hold a
+                # field csv refuses
+                if (len(text) > csv.field_size_limit()
+                        or any(c in text for c in _CSV_ONLY)):
+                    rows = csv.reader(chain(io.StringIO(text, newline=""), fh),
+                                      delimiter=delimiter)
+                    dropped += _read_rows(rows, usecols, cols)
+                    break
+                lines = text.split("\n")
+                for lo in range(0, len(lines), SLICE_LINES):
+                    part = lines[lo:lo + SLICE_LINES]
+                    dropped += _read_slice(part, delimiter, usecols, cols)
     except (csv.Error, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: unreadable CSV ({exc})") from exc
     x0, y1, y2 = (np.frombuffer(c, dtype=float) for c in cols)
@@ -135,6 +151,50 @@ def load_csv(path, conditioning_column: str, value_columns: Sequence[str],
         raise DataError(f"{path}: no clean numeric rows")
     return Dataset(columns=tuple(wanted), x0=x0, y1=y1, y2=y2, source=str(path),
                    n=x0.size, n_dropped=dropped)
+
+
+def _read_rows(rows, usecols, cols) -> int:
+    """Append the rows of a csv.reader to cols by load_csv's rule; return
+    how many were dropped."""
+    i0, i1, i2 = usecols
+    width = max(usecols) + 1
+    add0, add1, add2 = (c.append for c in cols)
+    dropped = 0
+    for row in rows:
+        if not row:
+            continue
+        if len(row) < width:
+            dropped += 1
+            continue
+        try:
+            v0, v1, v2 = float(row[i0]), float(row[i1]), float(row[i2])
+        except ValueError:
+            dropped += 1
+            continue
+        add0(v0)
+        add1(v1)
+        add2(v2)
+    return dropped
+
+
+def _read_slice(lines, delimiter, usecols, cols) -> int:
+    """Append the rows of lines, which hold no _CSV_ONLY character, to cols
+    through np.loadtxt; by _read_rows if loadtxt refuses them or skips a
+    line that is not empty."""
+    full = len(lines) - lines.count("")
+    if not full:
+        return 0  # loadtxt warns on no data
+    try:
+        block = np.loadtxt(lines, delimiter=delimiter, usecols=usecols,
+                           comments=None, quotechar=None, ndmin=2)
+    except ValueError:
+        pass
+    else:
+        if len(block) == full:
+            for c, v in zip(cols, block.T):
+                c.frombytes(v.tobytes())
+            return 0
+    return _read_rows(csv.reader(lines, delimiter=delimiter), usecols, cols)
 
 
 def to_pareto_margins(values) -> np.ndarray:

@@ -60,6 +60,13 @@ class NormedSample(NamedTuple):
     w2: np.ndarray
 
 
+def _available_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _row_uniforms(seed: int, stream: int, lo: int, hi: int) -> np.ndarray:
     # an explicit uint64 array: a list holding an int >= 2**63 passes
     # through float64 and loses its low bits
@@ -111,8 +118,10 @@ def draw_exceedances(
         return hi - lo - np.count_nonzero(np.isfinite(rows).all(axis=0))
 
     starts = range(0, n, CHUNK_ROWS)
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    # each worker holds a chunk's temporaries; more than the CPUs draw no faster
+    workers = min(threads, len(starts), _available_cpus())
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             n_bad = sum(pool.map(run, starts))
     else:
         n_bad = sum(map(run, starts))
@@ -158,7 +167,7 @@ def write_table(path, names, columns, append: bool = False) -> None:
     the only copy held.
     """
     columns = [np.asarray(c, dtype=float) for c in columns]
-    with open(path, "a" if append else "w", newline="") as fh:
+    with open(path, "a" if append else "w", newline="", encoding="utf-8") as fh:
         if not append:
             fh.write(",".join(names) + "\n")
         for lo in range(0, len(columns[0]), CHUNK_ROWS):
@@ -175,7 +184,7 @@ def write_csv(sample: ExceedanceSample, path, start: int = 0) -> None:
 
 def write_binary(sample: ExceedanceSample, path, start: int = 0,
                  n: int | None = None) -> None:
-    """Binary cache: 16-byte header, JSON metadata, then float64 columns.
+    """Binary sample file: 16-byte header, JSON metadata, float64 columns.
 
     Without n, sample is the whole file.  With n, sample is the block of
     rows from start on of an n-row file: the block at row 0 creates the
@@ -198,7 +207,7 @@ def write_binary(sample: ExceedanceSample, path, start: int = 0,
             fh.write(memoryview(np.ascontiguousarray(col, dtype="<f8")).cast("B"))
 
 
-# (key, test, what it must be): the cache metadata write_binary writes and
+# (key, test, what it must be): the metadata write_binary writes and
 # read_binary accepts.  type(), not isinstance(): a JSON true or false
 # loads as a bool, which is an int
 _META_RULES = (
@@ -221,17 +230,17 @@ def read_binary(path) -> ExceedanceSample:
     """Load an ExceedanceSample written by write_binary.
 
     Raises ValueError naming the path if the file is not a version-1
-    cache, its metadata is not a JSON object with keys t, n, seed and
+    sample file, its metadata is not a JSON object with keys t, n, seed and
     model_id of the types _META_RULES asks (and stream, if present), or
     its columns are not exactly 3 x n float64 values.
     """
     with open(path, "rb") as fh:
         header = fh.read(16)
         if len(header) != 16 or header[:8] != _MAGIC:
-            raise ValueError(f"{path}: not a cevnorm sample cache")
+            raise ValueError(f"{path}: not a cevnorm sample file")
         version, kind = struct.unpack("<II", header[8:])
         if (version, kind) != (1, 1):
-            raise ValueError(f"{path}: unsupported cache version {version} kind {kind}")
+            raise ValueError(f"{path}: unsupported sample file version {version} kind {kind}")
         size = fh.read(4)
         # a file cut inside the length field has no metadata, which is not JSON
         blob = fh.read(struct.unpack("<I", size)[0]) if len(size) == 4 else b""

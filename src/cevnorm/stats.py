@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import random_table, rankdata
+from scipy.stats import random_table
 
 DEFAULT_LEVELS = tuple(round(0.05 * k, 2) for k in range(1, 20))
 MIN_CHI_EXCEEDANCES = 50  # conditioning rows chi_hat needs above p
@@ -149,9 +149,34 @@ def permutation_independence_test(pairs, levels: Sequence[float] = DEFAULT_LEVEL
 
 
 def pseudo_uniforms(values) -> np.ndarray:
-    """Rank-based margin transform rank/(n+1), average ranks on ties."""
+    """Rank-based margin transform rank/(n+1) of a 1-d sample, average
+    ranks on ties; raises ValueError on NaN.
+
+    The tie group of sorted positions start..end-1 takes the average rank
+    (start + end + 1)/2, an exact float, so the result is bit for bit
+    scipy's rankdata(values, "average")/(n + 1).
+    """
     arr = np.asarray(values, dtype=float)
-    return rankdata(arr, method="average") / (arr.size + 1)
+    n = arr.size
+    order = np.argsort(arr)
+    s = arr[order]
+    if n and np.isnan(s[-1]):  # argsort puts NaN last
+        raise ValueError("cannot rank NaN")
+    first = np.empty(n, dtype=bool)
+    first[:1] = True
+    np.not_equal(s[1:], s[:-1], out=first[1:])
+    del s  # each temporary goes before the next is made
+    starts = np.flatnonzero(first)
+    del first
+    # (start + end + 1)/2/(n + 1) as one division of exact values
+    u = np.empty(starts.size)
+    np.add(starts[1:], starts[:-1], out=u[:-1])
+    u[-1:] = starts[-1:] + n
+    u += 1
+    u /= 2 * (n + 1)
+    out = np.empty(n)
+    out[order] = u if starts.size == n else np.repeat(u, np.diff(starts, append=n))
+    return out
 
 
 def chi_hat(u0, u1, u2, p: float) -> float:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line driver: config validation, exit
 codes, verdicts, report determinism, and each subcommand's behaviour."""
 
+import codecs
 import importlib.util
 import json
 import re
@@ -53,6 +54,11 @@ def write_config(tmp_path, cfg, name="cfg.json"):
 
 def run(command, cfg_path, *extra):
     return main([command, "--config", str(cfg_path), *extra])
+
+
+def readme_json_blocks():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
 
 
 def read_report(out_dir, command):
@@ -174,6 +180,12 @@ class TestConfigValidation:
         path.write_text("{not json")
         assert run("simulate", path) == EXIT_CONFIG
 
+    def test_bom_prefixed_config_loads(self, tmp_path):
+        cfg = {"model": CANONICAL, "run": {"n": 10}, "io": {"output_dir": str(tmp_path)}}
+        path = tmp_path / "bom.json"
+        path.write_bytes(codecs.BOM_UTF8 + json.dumps(cfg).encode())
+        assert Config.load(path).resolved == Config.load(write_config(tmp_path, cfg)).resolved
+
     def test_b_floor(self, tmp_path):
         cfg = {"model": CANONICAL, "analysis": {"b": 10},
                "io": {"output_dir": str(tmp_path)}}
@@ -212,8 +224,7 @@ class TestConfigValidation:
             assert "--threads" not in err
 
     def test_readme_example_config_loads(self, tmp_path):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        (block,) = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+        block = readme_json_blocks()[0]
         path = tmp_path / "config.json"
         path.write_text(block)
         cfg = Config.load(path)
@@ -223,6 +234,16 @@ class TestConfigValidation:
         assert run("verify-rn", path, "--out", str(tmp_path)) == EXIT_PASS
         verdicts = read_report(tmp_path, "verify-rn")["verdicts"]
         assert verdicts == {"delta_below_max": True, "independence_not_rejected": True}
+
+    def test_readme_simulate_then_diagnose_runs_as_printed(self, tmp_path, monkeypatch):
+        _, simulate_cfg, diagnose_cfg = readme_json_blocks()
+        monkeypatch.chdir(tmp_path)
+        Path("simulate.json").write_text(simulate_cfg)
+        Path("diagnose.json").write_text(diagnose_cfg)
+        assert main(["simulate", "--config", "simulate.json"]) == EXIT_PASS
+        assert main(["diagnose", "--config", "diagnose.json"]) == EXIT_PASS
+        m = read_report(Path("diag"), "diagnose")["metrics"]
+        assert (m["n_rows"], m["n_dropped"]) == (100_000, 0)
 
     @pytest.mark.parametrize("command", ["simulate", "verify-rn", "verify-dn",
                                          "limit-h", "gap", "chi", "diagnose"])

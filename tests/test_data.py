@@ -1,16 +1,21 @@
 """Tests for the data pipeline: CSV ingestion, Pareto margins,
 pseudo-likelihood norming fits, and the residual diagnostic."""
 
+import codecs
 import csv
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import cevnorm.data as data_mod
 from cevnorm.data import (
+    BLOCK_CHARS,
     MIN_EXCEEDANCES,
+    SLICE_LINES,
     DataError,
     Dataset,
     FitConvergenceError,
@@ -37,7 +42,7 @@ def write_file(tmp_path, text, name="data.csv"):
 def dictreader_reference(path, wanted, delimiter=","):
     """The csv.DictReader loader load_csv replaced: clean rows and drop count."""
     rows, dropped = [], 0
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         for rec in csv.DictReader(fh, delimiter=delimiter):
             try:
                 vals = [float(rec[col]) for col in wanted]
@@ -116,6 +121,104 @@ class TestLoadCsv:
         path = write_file(tmp_path, "a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
             load_csv(path, "a", ["b"])
+
+
+# cells that float() and np.loadtxt might read apart: what only float()
+# accepts, padding, non-finite and malformed values, and characters that
+# send a block to csv.reader
+ODD_CELLS = ("1_000", "\u0661\u0662", " 8 ", "nan", "-Infinity", "1e999", "", "-",
+             "\x1c1", "2\x00", '"3"', "\xa04", "+.5e-3")
+CELL_CHARS = "0123456789.eE+-_ \t\"\x00\x1c\x1f\x0b\x85\xa0\u2003\u0661inf"
+
+
+def data_lines(n):
+    return "".join(f"{i},{i / 3!r},{-i}\n" for i in range(n))
+
+
+@st.composite
+def csv_texts(draw):
+    """(text, delimiter) of a file whose header holds a, b and c."""
+    delimiter = draw(st.sampled_from([",", ";", " ", "\t"]))
+    cell = st.one_of(st.floats().map(repr), st.sampled_from(ODD_CELLS),
+                     st.text(CELL_CHARS, max_size=4))
+    line = st.one_of(st.lists(cell, max_size=5).map(delimiter.join),
+                     st.sampled_from(["", " ", "\t "]))
+    header = delimiter.join(draw(st.permutations("abcd")))
+    lines = draw(st.lists(line, max_size=3 * SLICE_LINES))
+    eol = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    return eol.join([header, *lines]) + draw(st.sampled_from([eol, ""])), delimiter
+
+
+def straddling_quote():
+    """A file whose first text block, BLOCK_CHARS after the header line,
+    ends inside the quoted cell "8\n", just before its newline."""
+    head = "1,2,3\n" * ((BLOCK_CHARS - 4) // 6 - 1)
+    pad = "1,2," + "3".zfill(BLOCK_CHARS - 4 - len(head) - 5) + "\n"
+    return "a,b,c\n" + head + pad + '7,"8\n",9\n4,5,6\n'
+
+
+class TestBlockReader:
+    """load_csv parses blocks through np.loadtxt; it must read every file
+    exactly as the per-row rule does."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=csv_texts())
+    @example(case=("a,b,c\n1,2,3\n4,5,6", ","))  # no newline after the last row
+    @example(case=("a b c\n 1 2 3\n1 2 3 \n1  2 3\n4 5 6\n", " "))
+    @example(case=("a\tb\tc\n 1\t 2\t3 \n\t1\t2\t3\n4\t5\t6\n", "\t"))
+    @example(case=("a,b,c\r\n1,2,3\r\n4,x,6\r\n7,8,9\r\n", ","))
+    @example(case=("a,b,c\r1,2,3\r4,x,6\r7,8,9", ","))
+    @example(case=("a,b,c\n" + "1,2,3\n" * (BLOCK_CHARS // 6 + 100)
+                   + '"4",5,6\n7,8,9\n', ","))  # first quote after a block
+    @example(case=(straddling_quote(), ","))
+    @example(case=("a,b,c\n" + "".join(f"{v},1,2\n" for v in (
+        "1_000", "\u0661\u0662", " 8 ", "nan", "-Infinity", "1e999", "", "-")), ","))
+    @example(case=("a,b,c\n1,2,3\n\n   \n\t\n1,2\n\n1,2,3,4,5\n7\n", ","))
+    @example(case=("a,b,c\n" + data_lines(SLICE_LINES - 1), ","))
+    @example(case=("a,b,c\n" + data_lines(SLICE_LINES), ","))
+    @example(case=("a,b,c\n" + data_lines(SLICE_LINES + 1), ","))
+    @example(case=("a,b,c\n" + data_lines(SLICE_LINES) + "x,1,2\n", ","))
+    # a field over csv's size limit, in a column loadtxt does not read
+    @example(case=("a,b,c,d\n1,2,3,4\n1,2,3,"
+                   + "4" * (csv.field_size_limit() + 1) + "\n", ","))
+    def test_matches_reference(self, tmp_path, case):
+        text, delimiter = case
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        wanted = ["a", "b", "c"]
+        try:
+            expected, dropped = dictreader_reference(path, wanted, delimiter)
+        except csv.Error:
+            with pytest.raises(DataError, match="unreadable CSV"):
+                load_csv(path, "a", ["b", "c"], delimiter=delimiter)
+            return
+        if not len(expected):
+            with pytest.raises(DataError, match="no clean numeric rows"):
+                load_csv(path, "a", ["b", "c"], delimiter=delimiter)
+            return
+        ds = load_csv(path, "a", ["b", "c"], delimiter=delimiter)
+        assert np.column_stack([ds.x0, ds.y1, ds.y2]).tobytes() == expected.tobytes()
+        assert ds.n_dropped == dropped
+
+    def test_straddling_quote_row(self, tmp_path):
+        path = tmp_path / "data.csv"
+        text = straddling_quote()
+        path.write_text(text)
+        assert text.index('8\n"') + 1 - len("a,b,c\n") == BLOCK_CHARS
+        ds = load_csv(path, "a", ["b", "c"])
+        assert ds.n_dropped == 0 and (ds.x0[-2], ds.y1[-2], ds.y2[-2]) == (7, 8, 9)
+
+    def test_bom_prefixed_file_loads_as_without(self, tmp_path):
+        text = ("x0,x1,x2\n1,2,3\n4,y,6\n" + data_lines(2 * SLICE_LINES)).encode()
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(text)
+        bom.write_bytes(codecs.BOM_UTF8 + text)
+        a = load_csv(plain, "x0", ["x1", "x2"])
+        b = load_csv(bom, "x0", ["x1", "x2"])
+        for col in ("x0", "y1", "y2"):
+            assert getattr(a, col).tobytes() == getattr(b, col).tobytes()
+        assert (a.n, a.n_dropped) == (b.n, b.n_dropped) == (2 * SLICE_LINES + 1, 1)
 
 
 class TestMemory:

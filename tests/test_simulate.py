@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cevnorm import simulate
 from cevnorm.data import write_residuals_csv
 from cevnorm.limits import GapResult, write_gap_csv
 from cevnorm.models import noise_cdf
@@ -160,6 +161,24 @@ class TestDrawExceedances:
         for got, want in zip((block.x0, block.x1, block.x2),
                              (full_draw.x0, full_draw.x1, full_draw.x2)):
             np.testing.assert_array_equal(got, want[lo:lo + m])
+
+    def test_workers_capped_at_available_cpus(self, canonical_model, monkeypatch):
+        pools = []
+
+        class RecordingPool(simulate.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(simulate, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", RecordingPool)
+        n = 3 * CHUNK_ROWS
+        multi = draw_exceedances(canonical_model, 5.0, n, 7, threads=8)
+        assert pools == [2]
+        single = draw_exceedances(canonical_model, 5.0, n, 7, threads=1)
+        assert pools == [2]
+        np.testing.assert_array_equal(np.stack([single.x0, single.x1, single.x2]),
+                                      np.stack([multi.x0, multi.x1, multi.x2]))
 
     def test_start_must_not_be_negative(self, canonical_model):
         with pytest.raises(ValueError, match="start must be >= 0"):

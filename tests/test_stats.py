@@ -3,8 +3,10 @@ and the tail dependence coefficient."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
-from scipy.stats import random_table
+from scipy.stats import random_table, rankdata
 
 from cevnorm import stats
 from cevnorm.stats import (
@@ -281,6 +283,35 @@ class TestPseudoUniformsAndChi:
     def test_pseudo_uniforms_ties_average(self):
         np.testing.assert_allclose(pseudo_uniforms([5.0, 5.0, 9.0]),
                                    [1.5 / 4, 1.5 / 4, 3.0 / 4])
+
+    @staticmethod
+    def assert_rankdata_bits(x):
+        x = np.asarray(x, dtype=float)
+        want = rankdata(x, method="average") / (x.size + 1)
+        assert pseudo_uniforms(x).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 40))
+    def test_pseudo_uniforms_are_rankdata_bits_on_ties(self, n):
+        gen = np.random.default_rng(n)
+        self.assert_rankdata_bits(gen.integers(0, 4, n))
+        self.assert_rankdata_bits(gen.choice([-0.0, 0.0, 1.0, -np.inf, np.inf], n))
+        self.assert_rankdata_bits(np.zeros(n))
+        self.assert_rankdata_bits(gen.normal(size=n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.lists(st.one_of(st.integers(-3, 3).map(float),
+                                st.sampled_from([-0.0, np.inf, -np.inf]),
+                                st.floats(allow_nan=False)), min_size=1, max_size=300))
+    def test_pseudo_uniforms_are_rankdata_bits(self, x):
+        self.assert_rankdata_bits(x)
+
+    def test_pseudo_uniforms_large_tied_sample(self):
+        gen = np.random.default_rng(5)
+        self.assert_rankdata_bits(gen.integers(0, 1000, 2 * 10**5))
+
+    def test_pseudo_uniforms_refuse_nan(self):
+        with pytest.raises(ValueError, match="NaN"):
+            pseudo_uniforms([1.0, np.nan, 2.0])
 
     def test_chi_comonotone(self, rng):
         u = pseudo_uniforms(rng.normal(size=5000))
