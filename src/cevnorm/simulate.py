@@ -158,21 +158,174 @@ def apply_deterministic_norming(sample: ExceedanceSample, model: CiModel) -> Nor
 # serialization
 # ---------------------------------------------------------------------------
 
+TABLE_ROWS = 4096  # rows write_table formats at a time
+
+# write_table's cell formatter.  A cell in repr's fixed notation is
+# [-] digits '.' digits, or [-] '0.' zeros digits, then ',' or '\n'.  Its
+# bytes are taken from a source row of the 17 digits and the other bytes a
+# cell may hold, at the places a layout table gives for its sign, decimal
+# exponent and number of significant digits
+_E = np.arange(-4, 16)  # the decimal exponents of repr's fixed notation
+_SCALE = np.array([float(10 ** (16 - e)) for e in _E.tolist()])  # exact
+_SPLIT = float(2 ** 27 + 1)  # Dekker's splitter for float64
+_MANTISSA, _EXPONENT = 2 ** 52 - 1, 2047 << 52
+# the ASCII of 00..99 in a uint16, and of 0000..9999 in a uint32
+_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), dtype=np.uint16)
+_QUADS = np.empty((100, 100, 2), dtype=np.uint16)
+_QUADS[..., 0], _QUADS[..., 1] = _PAIRS[:, None], _PAIRS
+_QUADS = _QUADS.view(np.uint32).reshape(-1)
+# the source row: '-', '.', '0', the 17 digits (1..16 as four aligned
+# quads), the separator and NULs
+_SOURCE = 24
+_MINUS, _DOT, _ZERO, _DIGITS, _SEP, _NUL = 0, 1, 2, 3, 20, 21
+_CELL = 24  # '-0.000', 17 digits and the separator
+
+
+def _split(a):
+    """Dekker's split: a == hi + lo, each with at most 26 significant bits."""
+    c = a * _SPLIT
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _layouts():
+    """The source byte of each byte of a cell, and the cell's length, by
+    key (sign, e, k) flattened, for k significant digits and exponent e."""
+    e, k, j = np.ix_(_E, np.arange(1, 18), np.arange(_CELL - 1))
+    # e >= 0: digits 0..e, '.', digits e+1.. (at least one); e < 0: '0.',
+    # -e - 1 zeros, digits 0..k-1.  Digits past k are zeros
+    point = np.maximum(e, 0) + 1
+    end = np.where(e >= 0, point + 1 + np.maximum(k - e - 1, 1), 1 - e + k)
+    digit = np.where(e >= 0, j - (j > e), j - 1 + e)
+    src = np.where(digit < 0, _ZERO, _DIGITS + digit)
+    src = np.where(j < end, src, np.where(j == end, _SEP, _NUL))
+    layout = np.empty((2, len(_E), 17, _CELL), dtype=np.int32)
+    layout[0, ..., :-1] = np.where(j == point, _DOT, src)
+    layout[0, ..., -1] = _NUL
+    layout[1, ..., 0] = _MINUS
+    layout[1, ..., 1:] = layout[0, ..., :-1]
+    length = np.empty((2, len(_E), 17), dtype=np.intp)
+    length[0], length[1] = end[..., 0] + 1, end[..., 0] + 2
+    return layout.reshape(-1, _CELL), length.reshape(-1)
+
+
+_LAYOUT, _LENGTH = _layouts()
+
+
+def _fixed_cells(x: np.ndarray, src: np.ndarray):
+    """The bytes of repr(v) and its separator for each v of x, NUL-padded
+    to _CELL, their lengths, and which of them are exact (see write_table).
+
+    src holds a source row per value, with the bytes past the digits set.
+    """
+    a = np.abs(x)
+    ok = (a >= 1e-4) & (a < 1e16) & (x.view(np.int64) & _MANTISSA != 0)
+    a = np.where(ok, a, 1.5)
+    i = np.clip(np.floor(np.log10(a)).astype(np.intp) + 4, 0, len(_E) - 1)
+    s = _SCALE[i]
+    # y = a * s exactly, by Dekker's two-product
+    hi = a * s
+    a_hi, a_lo = _split(a)
+    s_hi, s_lo = _split(s)
+    lo = ((a_hi * s_hi - hi) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
+    # y in [1e16, 1e17): i holds its decimal exponent, and hi is an integer
+    ok &= ((hi > 1e16) | ((hi == 1e16) & (lo >= 0))) & (hi < 1e17)
+    hi = np.where(ok, hi, 1e16).astype(np.int64)
+    # half the rounding interval: 2**-53 times the power of two below a
+    half = (a.view(np.int64) & _EXPONENT).view(float) * 2.0 ** -53 * s
+    r = np.rint(lo)
+    frac = lo - r  # exact, so y = n17 + frac
+    n17 = hi + r.astype(np.int64)
+    digits = n17
+    open_ = ok.copy()  # no candidate taken yet
+    for unit in (100, 10):  # the 15-, then the 16-digit candidate
+        q = n17 // unit
+        rem = n17 - q * unit
+        tie = (rem == unit // 2) & (frac == 0)
+        cand = (q + ((rem > unit // 2) | (rem == unit // 2) & (frac > 0))) * unit
+        d = (cand - hi).astype(float)  # cand - y == d - lo
+        below, above = d - half, d + half  # exact
+        inside = open_ & (below < lo) & (lo < above)
+        # a tie inside the interval, or a candidate on its boundary, is
+        # left to repr
+        ok &= ~(inside & tie | open_ & ((lo == below) | (lo == above)))
+        digits = np.where(inside, cand, digits)
+        open_ &= ~inside
+    ok &= ~(open_ & (np.abs(frac) == 0.5))  # the 17-digit candidate is a tie
+    carry = digits == 10 ** 17
+    digits = np.where(carry, 10 ** 16, digits)
+    m = len(x)
+    src = src[:m]
+    first = digits // 10 ** 16
+    src[:, _DIGITS] = first + 48
+    rest = digits - first * 10 ** 16
+    eight = np.stack((rest // 10 ** 8, rest), axis=1)
+    eight[:, 1] -= eight[:, 0] * 10 ** 8
+    four = eight // 10 ** 4
+    quads = src.view(np.uint32)
+    quads[:, 1:5:2] = _QUADS[four]
+    quads[:, 2:5:2] = _QUADS[eight - four * 10 ** 4]
+    k = 17 - np.argmax(src[:, _DIGITS + 16:_DIGITS - 1:-1] != ord("0"), axis=1)
+    key = ((x < 0) * len(_E) + i + carry) * 17 + k - 1
+    key = np.where(ok, key, 0)
+    at = np.take(_LAYOUT, key, axis=0)
+    at += np.arange(0, _SOURCE * m, _SOURCE, dtype=np.int32)[:, None]
+    return np.take(src.reshape(-1), at), _LENGTH[key], ok
+
+
 def write_table(path, names, columns, append: bool = False) -> None:
     """Write equal-length float columns as CSV under the header names, or
     with append set, add them as rows after those the file holds.
 
-    The one CSV writer: each value is its shortest round-trip repr, and
-    rows are formatted in blocks of CHUNK_ROWS, so a block's strings are
-    the only copy held.
+    The one CSV writer: each value is written as its shortest round-trip
+    repr.  Rows are formatted TABLE_ROWS at a time, so memory does not
+    grow with the table.
+
+    Cells are formatted with numpy arithmetic that gives repr's bytes
+    exactly.  It takes finite x with 1e-4 <= |x| < 1e16, where repr uses
+    fixed notation, that are not powers of two.  For these, with e the
+    decimal exponent of x, s = 10**(16 - e) is an exact double, and
+    y = |x| * s in [1e16, 1e17) is exactly hi + lo by Dekker's two-product,
+    with hi an integer.  The half-width spacing(x)/2 * s of x's rounding
+    interval is exact too, and the interval is symmetric since x is not a
+    power of two.  The 15-, 16- and 17-digit roundings of y come from
+    integer division of hi + rint(lo), and the first of them strictly
+    inside the interval is repr's digits: at most one 15-digit decimal
+    lies in the interval, and repr takes the nearest of the shortest.
+    A row goes through repr if any of its cells is 0, not finite, in
+    scientific notation or a power of two, or if the candidate it reaches
+    is an exact rounding tie or lies exactly on the interval's boundary.
+    No cell is written from an approximation.
     """
     columns = [np.asarray(c, dtype=float) for c in columns]
-    with open(path, "a" if append else "w", newline="", encoding="utf-8") as fh:
+    lengths = {len(c) for c in columns}
+    if len(columns) != len(names) or len(lengths) != 1:
+        raise ValueError(f"{path}: {len(names)} names for columns of lengths "
+                         f"{[len(c) for c in columns]}")
+    n, width = lengths.pop(), len(columns)
+    src = np.zeros((min(n, TABLE_ROWS), width, _SOURCE), dtype=np.uint8)
+    src[..., [_MINUS, _DOT, _ZERO, _SEP]] = [ord("-"), ord("."), ord("0"), ord(",")]
+    src[:, -1, _SEP] = ord("\n")
+    src = src.reshape(-1, _SOURCE)
+    with open(path, "ab" if append else "wb") as fh:
         if not append:
-            fh.write(",".join(names) + "\n")
-        for lo in range(0, len(columns[0]), CHUNK_ROWS):
-            cells = [map(repr, c[lo:lo + CHUNK_ROWS].tolist()) for c in columns]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            fh.write((",".join(names) + "\n").encode())
+        for lo in range(0, n, TABLE_ROWS):
+            block = np.stack([c[lo:lo + TABLE_ROWS] for c in columns], axis=1)
+            rows = len(block)
+            cells, length, ok = _fixed_cells(block.reshape(-1), src)
+            ok = ok.reshape(rows, width).all(axis=1)
+            text = cells.reshape(rows, -1)
+            text[~ok] = 0
+            text = text[text != 0].tobytes()
+            # the rows not formatted above, spliced in by repr
+            ends = np.cumsum(length.reshape(rows, width).sum(axis=1) * ok)
+            start = 0
+            for row in np.flatnonzero(~ok).tolist():
+                fh.write(text[start:ends[row]])
+                fh.write((",".join(map(repr, block[row].tolist())) + "\n").encode())
+                start = ends[row]
+            fh.write(text[start:])
 
 
 def write_csv(sample: ExceedanceSample, path, start: int = 0) -> None:

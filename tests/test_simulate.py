@@ -32,6 +32,7 @@ from cevnorm.simulate import (
     read_binary,
     write_binary,
     write_csv,
+    write_table,
 )
 from cevnorm.stats import factorization_stat, permutation_independence_test
 
@@ -53,6 +54,17 @@ def csv_reference(path, names, columns):
         fh.write(",".join(names) + "\n")
         for row in zip(*columns):
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+def _neighbours(x, ulps=4):
+    """x and the doubles up to ulps steps below and above it."""
+    out = [x]
+    for toward in (-np.inf, np.inf):
+        v = x
+        for _ in range(ulps):
+            v = np.nextafter(v, toward)
+            out.append(v)
+    return np.array(out)
 
 
 # each table the program writes: its header and its writer called on
@@ -315,6 +327,78 @@ class TestSerialization:
         write(cols, tmp_path / "blocks.csv")
         csv_reference(tmp_path / "rows.csv", names, cols)
         assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(1, 5).flatmap(lambda width: st.lists(
+        st.lists(st.floats(), min_size=width, max_size=width), max_size=40)))
+    @example(rows=[[0.0, -0.0, 5e-324, float("nan")],
+                   [float("inf"), -float("inf"), 1e16, 1e-4]])
+    @example(rows=[[8.0000457763671875], [1234567890123456.2], [2.0 ** 53], [0.1]])
+    def test_csv_matches_reference_on_any_floats(self, rows):
+        width = len(rows[0]) if rows else 1
+        names = [f"c{j}" for j in range(width)]
+        cols = [np.array([row[j] for row in rows], dtype=float) for j in range(width)]
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "table.csv", Path(tmp) / "rows.csv"
+            write_table(got, names, cols)
+            csv_reference(want, names, cols)
+            assert got.read_bytes() == want.read_bytes()
+
+    def test_csv_matches_reference_on_a_sweep(self, tmp_path):
+        rng = np.random.default_rng(20261019)
+        # exact decimal ties: N / 2**m has m fraction digits and ends in 5,
+        # so it is a tie of its p-digit rounding when it has p + 1 digits
+        ties = []
+        for e in range(-4, 16):
+            for p in (14, 15, 16, 17):
+                m = p - e
+                lo, hi = math.ceil(10.0 ** e * 2.0 ** m), min(10 ** (e + 1) * 2 ** m, 2 ** 53)
+                if lo < hi:
+                    ties.append((rng.integers(lo, hi, 1500) | 1) * 2.0 ** -m)
+        values = np.concatenate([
+            rng.integers(-2**63, 2**63, 200_000, dtype=np.int64).view(float),
+            10.0 ** rng.uniform(-4.5, 16.5, 150_000),
+            *[_neighbours(10.0 ** k) for k in range(-6, 18)],
+            *[_neighbours(2.0 ** k) for k in range(-20, 60)],
+            1e-4 * (1 + rng.uniform(-1e-3, 1e-3, 10_000)),
+            1e16 * (1 + rng.uniform(-1e-3, 1e-3, 10_000)),
+            rng.integers(2**53, 2**62, 50_000).astype(float),
+            *ties,
+        ])
+        values = np.concatenate([values, -values])
+        rng.shuffle(values)
+        assert len(values) >= 1_000_000
+        write_table(tmp_path / "table.csv", ("x",), (values,))
+        csv_reference(tmp_path / "rows.csv", ("x",), (values,))
+        assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_csv_rows_left_to_repr(self, canonical_model, tmp_path, monkeypatch):
+        # write_table formats a row itself unless a cell is one its
+        # docstring leaves to repr: 0, not finite, in scientific notation, a
+        # power of two, or an exact tie of the candidate it reaches
+        left = [0.0, -0.0, float("nan"), float("inf"), 5e-324, 9.9e-5, 1e16, -1.5e300,
+                8.0000457763671875,  # a 16-digit tie inside the interval
+                1234567890123456.2,  # ...6.25, a 17-digit tie
+                *[2.0 ** k for k in range(-13, 54)]]
+        s = draw_exceedances(canonical_model, 10.0, 1000, 2)
+        fast = np.concatenate([s.x0, s.x1, -s.x2, [0.1, 1e-4, 1e15 + 0.5, 9999999999999998.0]])
+        seen = []
+        monkeypatch.setattr(simulate, "repr", lambda v: seen.append(v) or repr(v),
+                            raising=False)
+        write_table(tmp_path / "t.csv", ("x",), (np.concatenate([fast, left]),))
+        assert sorted(map(repr, seen)) == sorted(map(repr, left))
+
+    @pytest.mark.parametrize("names, columns", [
+        (("a", "b", "c"), (np.arange(5.0), np.arange(3.0))),
+        (("a", "b"), (np.arange(5.0), np.arange(3.0))),
+        (("a",), (np.arange(2.0), np.arange(2.0))),
+        ((), ()),
+    ], ids=["names-and-lengths", "lengths", "names", "empty"])
+    def test_ragged_table_is_refused_before_opening(self, tmp_path, names, columns):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="t.csv: .* names for columns of lengths"):
+            write_table(path, names, columns)
+        assert not path.exists()
 
     def test_binary_roundtrip(self, canonical_model, tmp_path):
         s = draw_exceedances(canonical_model, 10.0, 123, 9, stream=4)
