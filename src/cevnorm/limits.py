@@ -8,12 +8,13 @@ G1(x1)*G2(x2).  Under deterministic norming it is the mixture law
 
 evaluated here after the substitution u = 1/v, which absorbs the v**-2
 weight exactly and leaves a bounded integrand on (0, 1].  The integral is
-taken by tanh-sinh (double-exponential) quadrature over whole arrays of
-(x1, x2), in blocks of at most QUAD_BLOCK (point x piece) elements per
-call.  H factorises into its marginals iff one coordinate has
-(kappa, rho) = (0, 0).  The marginal densities h_i are the same integral
-with factor i differentiated in x, and the marginal quantiles are found by
-Newton steps on them.
+split at the kinks of the integrand, and the pieces of whole arrays of
+(x1, x2) are taken by _tanh_sinh, a vectorised tanh-sinh
+(double-exponential) rule with a level-to-level error estimate, in blocks
+of at most QUAD_BLOCK (point x piece) elements per call.  H factorises
+into its marginals iff one coordinate has (kappa, rho) = (0, 0).  The
+marginal densities h_i are the same integral with factor i differentiated
+in x, and the marginal quantiles are found by Newton steps on them.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import tanhsinh
 
 from .models import NOISE_FAMILIES, CiModel, noise_cdf
 from .norming import limit_shift, limit_shift_inverse
@@ -44,14 +44,40 @@ _NEWTON_STEPS = 100
 _XATOL = 1e-8
 # cells of the grid on which the cubic Hermite start is located
 _HERMITE_CELLS = 64
-# (point x piece) elements per tanhsinh call; a call's working arrays
-# take about 5 KB per element.  On the limit-law benchmark's 20 x 20
-# grids, peak RSS is 2 MB above 103 MB at 512 and 4 MB at 1024, for no
-# further speed; 256 is 10% slower
+# (point x piece) elements per _tanh_sinh call.  At level 2, where most
+# elements stop, a call's working arrays take about 4.5 KB per element.
+# Over the limit-law benchmark's three commands (2 cores), peak RSS is 2 MB
+# above the imports' at 512, 4 MB at 1024 and 7.5 MB at 2048, for no
+# further speed; 256 is 5% slower and 128 16%
 QUAD_BLOCK = 512
-# tanhsinh returns NaN on a piece one ulp wide; a piece this many ulps
-# wide or less holds at most its width in mass and is given zero length
-_SLIVER_ULPS = 4
+# the tanh-sinh rule (Takahasi & Mori 1974, Publ. RIMS 9, 721-741) with the
+# error estimate of Bailey, Jeyabalan & Li (2005, Exp. Math. 14, 317-329):
+# _tanh_sinh jump-starts at level _MINLEVEL (levels 0.._MINLEVEL in one
+# integrand call) and stops at _MAXLEVEL.  Level k has 8 * 2**k steps of
+# _H0 / 2**k, and _H0 puts the outermost node 4 * tiny from an end of [-1, 1]
+_MINLEVEL, _MAXLEVEL = 2, 10
+_H0 = math.asinh(math.log(2 / (4 * _U_MIN) - 1) / math.pi) / 8
+
+
+def _rule(levels: int):
+    """Distances to the ends of [-1, 1] and weights of the nodes of levels
+    0..levels on one side, concatenated by level, and where each level starts.
+
+    After level 0 only the odd nodes are new.  The centre node lies on
+    both sides, so each side gives it half weight.
+    """
+    xc, w, start = [], [], [0]
+    for k in range(levels + 1):
+        j = np.arange(8 * 2**k + 1) if k == 0 else np.arange(1, 8 * 2**k + 1, 2)
+        u = math.pi / 2 * np.sinh(j * (_H0 / 2**k))
+        w.append(math.pi / 2 * np.cosh(j * (_H0 / 2**k)) / np.cosh(u) ** 2)
+        xc.append(1 / (np.exp(u) * np.cosh(u)))
+        start.append(start[-1] + j.size)
+    w[0][0] /= 2
+    return np.concatenate(xc), np.concatenate(w), start
+
+
+_XC, _W, _START = _rule(_MAXLEVEL)
 
 
 class QuadConvergenceError(RuntimeError):
@@ -96,6 +122,85 @@ def _factor(model: CiModel, i: int, x, v, density):
     return out
 
 
+def _row_sums(a):
+    """Sum of each row of a over its trailing axes, each row contiguous, so
+    a row's sum does not depend on the other rows."""
+    return a.reshape(a.shape[0], -1).sum(axis=1)
+
+
+def _tanh_sinh(f, lo, hi, args, atol: float):
+    """int_lo^hi f(u, *args) du for every element of the equal-shape arrays
+    lo <= hi, by tanh-sinh quadrature; args broadcast against lo.
+
+    A zero-length element is 0 without evaluation.  The others start at
+    level _MINLEVEL and stop at the first level whose error estimate is
+    below atol, or after _MAXLEVEL.  f sees only the elements still
+    running, so an element's result does not depend on the others.  Nodes
+    that round onto an end of their piece get weight 0.  A non-finite
+    weighted value of f fails its element: its integral leaves such nodes
+    out and its error is inf.  Returns integral, error, success and the
+    number of evaluations of f, each of lo's shape.
+    """
+    shape, (lo, hi) = lo.shape, (lo.ravel(), hi.ravel())
+    args = [np.broadcast_to(a, shape).ravel() for a in args]
+    total, error, s1, s2 = np.zeros((4, lo.size))
+    # per side (right, left): the outermost weighted node yet, as its
+    # abscissa times 1 or -1, and its |f w|
+    edge, outer = np.full((2, lo.size), -np.inf), np.zeros((2, lo.size))
+    success, nfev = hi == lo, np.zeros(lo.size, dtype=int)
+    active = np.flatnonzero(~success)
+    eps = np.finfo(float).eps
+    # as in scipy's tanh-sinh routine, the integrand and the estimate run
+    # with overflow, invalid and divide warnings off
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for level in range(_MINLEVEL, _MAXLEVEL + 1):
+            if not active.size:
+                break
+            nodes = slice(0 if level == _MINLEVEL else _START[level], _START[level + 1])
+            a, b = lo[active, None, None], hi[active, None, None]
+            half = (b - a) / 2
+            # (element, side, node): side 0 holds the nodes near hi, side 1
+            # those near lo
+            x = np.concatenate([b - half * _XC[nodes], a + half * _XC[nodes]], axis=1)
+            w = half * _W[nodes]
+            valid = (x > a) & (x < b) & (w != 0.0)
+            fw = np.where(valid, f(x, *(arg[active, None, None] for arg in args)) * w, 0.0)
+            nfev[active] += x.shape[1] * x.shape[2]
+            finite = np.isfinite(fw)
+            fw[~finite] = 0.0
+            failed = ~finite.all(axis=(1, 2))
+            h, rows = _H0 / 2**level, np.arange(active.size)
+            if level == _MINLEVEL:
+                # the jump start also gives the sums of the two levels
+                # below, on steps 4h and 2h
+                s2[active] = _row_sums(fw[:, :, :_START[level - 1]]) * (4 * h)
+                s1[active] = _row_sums(fw[:, :, :_START[level]]) * (2 * h)
+                s = _row_sums(fw) * h
+            else:
+                s = s1[active] / 2 + _row_sums(fw) * h
+            for side, sign in enumerate((1.0, -1.0)):
+                xs = np.where(valid[:, side], sign * x[:, side], -np.inf)
+                k = np.argmax(xs, axis=1)
+                new = xs[rows, k] > edge[side, active]
+                edge[side, active[new]] = xs[rows, k][new]
+                outer[side, active[new]] = np.abs(fw[rows, side, k])[new]
+            # Bailey's estimate, in the form scipy's tanh-sinh routine uses:
+            # from the last two changes d1, d2 of the sum, the largest term
+            # and the term of the outermost node on either side
+            d1, d2 = np.abs(s - s1[active]), np.abs(s - s2[active])
+            d0 = np.where(d1 > 0.0, d1 ** (np.log(d1) / np.log(d2)), 0.0)
+            err = np.clip(np.maximum.reduce([d0, d1 * d1, eps * np.abs(fw).max(axis=(1, 2)),
+                                             outer[:, active].max(axis=0)]), eps * np.abs(s), d1)
+            failed |= ~np.isfinite(s)
+            err[failed] = np.inf
+            total[active], error[active] = s, err
+            success[active] = err < atol
+            s2[active], s1[active] = s1[active], s
+            active = active[~(success[active] | failed)]
+    return (total.reshape(shape), error.reshape(shape), success.reshape(shape),
+            nfev.reshape(shape))
+
+
 def _integrate(model: CiModel, x1, x2, abs_tol: float, deriv=0):
     """int_0^1 G1 G2 du at every point of the broadcast (x1, x2, deriv).
 
@@ -115,7 +220,6 @@ def _integrate(model: CiModel, x1, x2, abs_tol: float, deriv=0):
     edges = np.sort(np.stack([zero, *_kinks(model, 1, x1), *_kinks(model, 2, x2),
                               zero + 1.0], axis=-1), axis=-1)
     lo, hi = edges[:, :-1], edges[:, 1:]
-    hi = np.where(hi - lo <= _SLIVER_ULPS * np.spacing(hi), lo, hi)
 
     def f(u, a, b, d):
         v = 1.0 / np.maximum(u, _U_MIN)
@@ -126,12 +230,12 @@ def _integrate(model: CiModel, x1, x2, abs_tol: float, deriv=0):
     step = max(1, QUAD_BLOCK // lo.shape[-1])
     for start in range(0, x1.size, step):
         block = slice(start, start + step)
-        res = tanhsinh(f, lo[block], hi[block],
-                       args=(x1[block, None], x2[block, None], deriv[block, None]),
-                       atol=abs_tol / lo.shape[-1], rtol=0.0)
-        total[block] = res.integral.sum(axis=-1)
-        error[block] = res.error.sum(axis=-1)
-        ok[block] = res.success.all(axis=-1)
+        integral, err, success, _ = _tanh_sinh(
+            f, lo[block], hi[block], (x1[block, None], x2[block, None], deriv[block, None]),
+            abs_tol / lo.shape[-1])
+        total[block] = integral.sum(axis=-1)
+        error[block] = err.sum(axis=-1)
+        ok[block] = success.all(axis=-1)
     if not ok.all():
         worst = np.argmax(np.where(ok, -np.inf, error))
         best, gap = float(total[worst]), float(error[worst])

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cevnorm import cli
+from cevnorm import cli, limits
 from cevnorm.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
@@ -236,7 +236,8 @@ class TestConfigValidation:
         assert verdicts == {"delta_below_max": True, "independence_not_rejected": True}
 
     def test_readme_simulate_then_diagnose_runs_as_printed(self, tmp_path, monkeypatch):
-        _, simulate_cfg, diagnose_cfg = readme_json_blocks()
+        blocks = readme_json_blocks()
+        simulate_cfg, diagnose_cfg = blocks[1], blocks[2]
         monkeypatch.chdir(tmp_path)
         Path("simulate.json").write_text(simulate_cfg)
         Path("diagnose.json").write_text(diagnose_cfg)
@@ -244,6 +245,15 @@ class TestConfigValidation:
         assert main(["diagnose", "--config", "diagnose.json"]) == EXIT_PASS
         m = read_report(Path("diag"), "diagnose")["metrics"]
         assert (m["n_rows"], m["n_dropped"]) == (100_000, 0)
+
+    def test_readme_gap_runs_as_printed(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("gap.json").write_text(readme_json_blocks()[3])
+        assert main(["gap", "--config", "gap.json"]) == EXIT_PASS
+        rep = read_report(Path("gap"), "gap")
+        assert rep["verdicts"] == {"gap_above_min": True}
+        # the README states the gap to 4 digits
+        assert round(rep["metrics"]["gap"], 4) == 0.0762
 
     @pytest.mark.parametrize("command", ["simulate", "verify-rn", "verify-dn",
                                          "limit-h", "gap", "chi", "diagnose"])
@@ -606,6 +616,15 @@ class TestSurfacesAndGap:
         err = capsys.readouterr().err
         assert "numerical error" in err
         assert "1e-30" in err and "[-1e12, 1e12]" in err
+
+    def test_gap_quadrature_failure_exits_4(self, tmp_path, capsys, monkeypatch):
+        # level 2's error estimate is far above 1e-15
+        monkeypatch.setattr(limits, "_MAXLEVEL", 2)
+        cfg = {"model": CANONICAL, "analysis": {"quad_abs_tol": 1e-15},
+               "io": {"output_dir": str(tmp_path)}}
+        assert run("gap", write_config(tmp_path, cfg)) == EXIT_NUMERIC
+        assert "quadrature failed to converge" in capsys.readouterr().err
+        assert not (tmp_path / "report_gap.json").exists()
 
 
 class TestChi:

@@ -7,6 +7,8 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import tanhsinh
+from scipy.special import ndtr
 
 from cevnorm import limits
 from cevnorm.limits import (
@@ -14,12 +16,13 @@ from cevnorm.limits import (
     GapResult,
     QuadConvergenceError,
     factorization_gap,
+    gap_on_grid,
     limit_H,
     marginal_H,
     marginal_H_quantile,
     write_gap_csv,
 )
-from cevnorm.models import FAMILIES, noise_cdf
+from cevnorm.models import FAMILIES, NOISE_FAMILIES, noise_cdf
 from cevnorm.simulate import apply_deterministic_norming, draw_exceedances
 from cevnorm.stats import DEFAULT_LEVELS
 
@@ -78,6 +81,25 @@ class TestOptions:
             marginal_H_quantile(canonical_model, 2, 0.3)
         assert math.isfinite(exc.value.best)
         assert 0 < exc.value.gap < 2
+
+    def test_integrator_level_cap_raises(self, canonical_model, monkeypatch):
+        # level 2's error estimate is far above 1e-15
+        monkeypatch.setattr(limits, "_MAXLEVEL", 2)
+        with pytest.raises(QuadConvergenceError, match="quadrature failed") as exc:
+            limit_H(canonical_model, 0.3, 0.7, abs_tol=1e-15)
+        assert math.isfinite(exc.value.best)
+        assert exc.value.gap > 0
+
+    def test_integrator_fails_on_nan_integrand(self, canonical_model, monkeypatch):
+        # a Gaussian CDF that is NaN below -1: at any finite x the
+        # integrand is then NaN near u = 0
+        family = NOISE_FAMILIES["gaussian"]
+        monkeypatch.setitem(NOISE_FAMILIES, "gaussian",
+                            family._replace(cdf=lambda s: np.where(s < -1.0, np.nan, ndtr(s))))
+        with pytest.raises(QuadConvergenceError, match="quadrature failed") as exc:
+            limit_H(canonical_model, 0.3, 0.7)
+        assert math.isfinite(exc.value.best)
+        assert exc.value.gap > 0
 
     def test_density_order_validated(self, canonical_model):
         with pytest.raises(ValueError, match="order"):
@@ -191,7 +213,7 @@ class TestUniformNoise:
         grid = limit_H(model, x1[:, None], x2[None, :])
         assert grid.shape == (4, 3)
         scalar = [[limit_H(model, a, b) for b in x2] for a in x1]
-        np.testing.assert_allclose(grid, scalar, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(grid, scalar)
 
     def test_kinks_one_ulp_apart(self):
         # the kinks at this point are 0.9025 and 0.9025000000000001
@@ -231,6 +253,45 @@ class TestBlocks:
         assert both.shape == (2, len(SMALL_GRID))
         np.testing.assert_array_equal(both[0], marginal_H_quantile(model, 1, SMALL_GRID))
         np.testing.assert_array_equal(both[1], marginal_H_quantile(model, 2, SMALL_GRID))
+
+
+def _scipy_rule(f, lo, hi, args, atol):
+    """limits._tanh_sinh's contract served by scipy's public tanhsinh."""
+    res = tanhsinh(f, lo, hi, args=args, atol=atol, rtol=0.0)
+    return res.integral, res.error, res.success, res.nfev
+
+
+class TestKernel:
+    """_tanh_sinh against scipy's tanhsinh on the same pieces and integrand:
+    H, both densities and both marginals (points bordered by +-inf), and
+    uniform noise's kinks."""
+
+    XS = np.array([-math.inf, -2.0, -0.5, 0.4, 1.6, 3.0, math.inf])
+
+    @staticmethod
+    def _integrate(monkeypatch, rule, model):
+        """_integrate with rule in place of the kernel; the values, and the
+        evaluations of each point summed over its pieces."""
+        nfev = []
+
+        def counted(*args):
+            out = rule(*args)
+            nfev.append(out[3].sum(axis=-1))
+            return out
+
+        monkeypatch.setattr(limits, "_tanh_sinh", counted)
+        xs = TestKernel.XS
+        val = limits._integrate(model, xs[:, None, None], xs[None, :, None], 1e-9,
+                                np.array([0, 1, 2]))
+        return val.ravel(), np.concatenate(nfev)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_scipy_tanhsinh(self, family, monkeypatch):
+        model = _mixed_model(family)
+        ours, ours_nfev = self._integrate(monkeypatch, limits._tanh_sinh, model)
+        theirs, theirs_nfev = self._integrate(monkeypatch, _scipy_rule, model)
+        np.testing.assert_allclose(ours, theirs, rtol=0, atol=1e-9)
+        assert np.all(ours_nfev <= theirs_nfev)
 
 
 class TestMarginalH:
@@ -345,3 +406,36 @@ class TestFactorizationGap:
         res = factorization_gap(canonical_model, (0.5,))
         assert isinstance(res, GapResult)
         assert res.gap >= 0.0
+
+
+class TestSecondOrderGap:
+    """With (kappa_i, rho_i) = eps * direction,
+
+        H - H1*H2 = g1(x1) c1(x1) g2(x2) c2(x2) + O(eps**3),
+        c_i(x) = kappa_i/a_i + rho_i x.
+
+    To first order in eps the shifted argument of factor i is
+    x_i - c_i(x_i) log v, and log V is Exp(1) under the weight v**-2 dv,
+    with variance 1; so the gap is the covariance of the two factors.  The
+    leading term uses no cevnorm quadrature, only each family's log-density.
+    Uniform noise is left out: its density jumps.
+    """
+
+    XS = np.linspace(-3.0, 3.0, 25)
+
+    @pytest.mark.parametrize("family", ["gaussian", "logistic", "gumbel"])
+    @pytest.mark.parametrize("direction", [(1, 0, 1, 0), (1, 0.5, 1, 0.5), (0, 1, 0, 1),
+                                           (1, -0.5, -1, 0.3)])
+    def test_relative_error_halves_with_eps(self, family, direction):
+        g = np.exp(NOISE_FAMILIES[family].log_pdf(self.XS))
+        errors = []
+        for eps in (0.2, 0.1, 0.05, 0.025, 0.0125):
+            kappa1, rho1, kappa2, rho2 = (eps * d for d in direction)
+            model = make_model(rho1=rho1, kappa1=kappa1, rho2=rho2, kappa2=kappa2,
+                               family=family)
+            gap = gap_on_grid(model, self.XS, self.XS, abs_tol=1e-12).table[:, 4]
+            lead = np.outer(g * (kappa1 + rho1 * self.XS), g * (kappa2 + rho2 * self.XS))
+            errors.append(np.abs(gap - lead.ravel()).max() / np.abs(gap).max())
+        ratios = np.array(errors[1:]) / errors[:-1]
+        assert np.all((ratios > 0.4) & (ratios < 0.65)), ratios
+        assert errors[-1] < 0.05
