@@ -13,8 +13,8 @@ split at the kinks of the integrand, and the pieces of whole arrays of
 (double-exponential) rule with a level-to-level error estimate, in blocks
 of at most QUAD_BLOCK (point x piece) elements per call.  H factorises
 into its marginals iff one coordinate has (kappa, rho) = (0, 0).  The
-marginal densities h_i are the same integral with factor i differentiated
-in x, and the marginal quantiles are found by Newton steps on them.
+marginals H_i are H with the other argument at +inf, and their quantiles
+are found by safeguarded secant steps on H_i alone.
 """
 
 from __future__ import annotations
@@ -36,14 +36,12 @@ _U_MIN = np.finfo(float).tiny
 # the last inside +-1e12
 _NODES = np.concatenate([-(2.0 ** np.arange(39, 0, -1) - 1), [0.0],
                          2.0 ** np.arange(1, 40) - 1])
-# Newton steps per quantile; pure bisection from the widest node pair
+# secant steps per quantile; pure bisection from the widest node pair
 # reaches the step tolerance in 50
-_NEWTON_STEPS = 100
-# a quantile is final once its Newton or bisection step is at most this
-# plus 4 ulps of the iterate
+_SECANT_STEPS = 100
+# a quantile is final once its secant step, or its bracket, is at most
+# this plus 4 ulps of the iterate
 _XATOL = 1e-8
-# cells of the grid on which the cubic Hermite start is located
-_HERMITE_CELLS = 64
 # (point x piece) elements per _tanh_sinh call.  At level 2, where most
 # elements stop, a call's working arrays take about 4.5 KB per element.
 # Over the limit-law benchmark's three commands (2 cores), peak RSS is 2 MB
@@ -101,24 +99,6 @@ def _kinks(model: CiModel, i: int, x) -> list:
         if math.isfinite(end):
             u = limit_shift_inverse(x, noise.location + noise.scale * end, model.erv(i))
             out.append(np.where((u > 0.0) & (u < 1.0), u, 1.0))
-    return out
-
-
-def _factor(model: CiModel, i: int, x, v, density):
-    """Factor i of the integrand at v: G_i of the shifted x, or, where
-    density holds, its x-derivative g_i(shift) * v**-rho_i.
-
-    d limit_shift/dx is v**-rho on both branches of the shift.
-    """
-    noise, erv = model.noise(i), model.erv(i)
-    z = limit_shift(x, v, erv)
-    out = noise_cdf(noise, z)
-    if np.any(density):
-        with np.errstate(over="ignore", invalid="ignore"):
-            log_g = NOISE_FAMILIES[noise.family].log_pdf((z - noise.location) / noise.scale)
-            g = np.exp(log_g - erv.rho * np.log(v)) / noise.scale
-        # at z = -inf the Gumbel log-density is inf - inf
-        out = np.where(density, np.where(np.isinf(z), 0.0, g), out)
     return out
 
 
@@ -201,19 +181,12 @@ def _tanh_sinh(f, lo, hi, args, atol: float):
             nfev.reshape(shape))
 
 
-def _integrate(model: CiModel, x1, x2, abs_tol: float, deriv=0):
-    """int_0^1 G1 G2 du at every point of the broadcast (x1, x2, deriv).
-
-    deriv names the coordinate whose factor is differentiated in x, 0 for
-    none.  A noise density jumps only where its CDF has a kink, so the
-    same split at the kinks serves both.
-    """
+def _integrate(model: CiModel, x1, x2, abs_tol: float):
+    """int_0^1 G1 G2 du at every point of the broadcast (x1, x2)."""
     if not abs_tol > 0:
         raise ValueError("abs_tol must be positive")
-    x1, x2, deriv = np.broadcast_arrays(np.asarray(x1, dtype=float),
-                                        np.asarray(x2, dtype=float), np.asarray(deriv))
-    shape = x1.shape
-    x1, x2, deriv = x1.ravel(), x2.ravel(), deriv.ravel()
+    x1, x2 = np.broadcast_arrays(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
+    shape, x1, x2 = x1.shape, x1.ravel(), x2.ravel()
     zero = np.zeros(x1.shape)
     # split (0, 1) at the kinks; the pieces lie along a trailing axis, and
     # padding pieces have zero length
@@ -221,9 +194,10 @@ def _integrate(model: CiModel, x1, x2, abs_tol: float, deriv=0):
                               zero + 1.0], axis=-1), axis=-1)
     lo, hi = edges[:, :-1], edges[:, 1:]
 
-    def f(u, a, b, d):
+    def f(u, a, b):
         v = 1.0 / np.maximum(u, _U_MIN)
-        return _factor(model, 1, a, v, d == 1) * _factor(model, 2, b, v, d == 2)
+        return (noise_cdf(model.noise1, limit_shift(a, v, model.erv1))
+                * noise_cdf(model.noise2, limit_shift(b, v, model.erv2)))
 
     total, error = np.empty(x1.size), np.empty(x1.size)
     ok = np.empty(x1.size, dtype=bool)
@@ -231,16 +205,20 @@ def _integrate(model: CiModel, x1, x2, abs_tol: float, deriv=0):
     for start in range(0, x1.size, step):
         block = slice(start, start + step)
         integral, err, success, _ = _tanh_sinh(
-            f, lo[block], hi[block], (x1[block, None], x2[block, None], deriv[block, None]),
-            abs_tol / lo.shape[-1])
+            f, lo[block], hi[block], (x1[block, None], x2[block, None]), abs_tol / lo.shape[-1])
         total[block] = integral.sum(axis=-1)
         error[block] = err.sum(axis=-1)
         ok[block] = success.all(axis=-1)
     if not ok.all():
+        # a non-finite integrand value makes its element's error inf, so
+        # such an element is the one reported
         worst = np.argmax(np.where(ok, -np.inf, error))
         best, gap = float(total[worst]), float(error[worst])
+        point = f"(x1, x2) = ({float(x1[worst])!r}, {float(x2[worst])!r})"
         raise QuadConvergenceError(
-            f"quadrature failed to converge: best estimate {best}, gap {gap}", best, gap)
+            f"quadrature failed: non-finite integrand value at {point}" if math.isinf(gap)
+            else f"quadrature failed to converge at {point} by level {_MAXLEVEL}: "
+                 f"best estimate {best}, gap {gap}", best, gap)
     return total.reshape(shape)
 
 
@@ -261,60 +239,38 @@ def _coordinates(i) -> np.ndarray:
     return i
 
 
-def marginal_H(model: CiModel, i, x, abs_tol: float = 1e-9, order=0):
-    """Marginal H_i(x) (the other argument at +inf), or its density h_i(x)
-    where order is 1.
+def marginal_H(model: CiModel, i, x, abs_tol: float = 1e-9):
+    """Marginal H_i(x): H with the other argument at +inf.
 
-    Broadcasts over the coordinate index i, x and order, so both margins,
-    and H_i with h_i, take one quadrature call; a float for scalar input.
+    Broadcasts over the coordinate index i and x, so both margins take
+    one quadrature call; a float for scalar input.
     """
-    i, x, order = _coordinates(i), np.asarray(x, dtype=float), np.asarray(order)
-    if not np.all((order == 0) | (order == 1)):
-        raise ValueError("order must be 0 or 1")
-    val = _integrate(model, np.where(i == 1, x, math.inf), np.where(i == 2, x, math.inf),
-                     abs_tol, np.where(order == 1, i, 0))
-    val = np.clip(val, 0.0, np.where(order == 0, 1.0, math.inf))
+    i, x = _coordinates(i), np.asarray(x, dtype=float)
+    val = np.clip(_integrate(model, np.where(i == 1, x, math.inf),
+                             np.where(i == 2, x, math.inf), abs_tol), 0.0, 1.0)
     return float(val) if val.ndim == 0 else val
-
-
-def _hermite_root(lo, hi, f_lo, f_hi, d_lo, d_hi):
-    """A root in [lo, hi] of the cubic Hermite interpolant of f, where
-    f_lo < 0 <= f_hi and d_lo, d_hi are the slopes.
-
-    The first sign change on a grid of _HERMITE_CELLS cells is refined
-    linearly.
-    """
-    t = np.linspace(0.0, 1.0, _HERMITE_CELLS + 1)
-    width = (hi - lo)[:, None]
-    c = (f_lo[:, None] * (1 + 2 * t) * (1 - t) ** 2 + width * d_lo[:, None] * t * (1 - t) ** 2
-         + f_hi[:, None] * t * t * (3 - 2 * t) + width * d_hi[:, None] * t * t * (t - 1))
-    k = np.argmax(c >= 0.0, axis=1)
-    rows = np.arange(k.size)
-    c0, c1 = c[rows, k - 1], c[rows, k]
-    return lo + (hi - lo) * (t[k - 1] + (t[1] - t[0]) * c0 / (c0 - c1))
 
 
 def marginal_H_quantile(model: CiModel, i, p, abs_tol: float = 1e-9):
     """Solve marginal_H(i, x) = p for every (i, p) of the broadcast at once.
 
-    One marginal_H call tabulates H_i and h_i at _NODES for each
-    coordinate in i.  The root lies between the first node where H_i
-    reaches p and the node before it, so it may not pass +-1e12.  From the
-    root of the cubic Hermite interpolant on that pair, a Newton iteration
-    on h_i takes H_i and h_i in one marginal_H call per step; a step that
-    would leave the bracket bisects it instead.  Each (i, p) is dropped
-    once its step is at most _XATOL, so its result does not depend on the
-    others.  With i = [[1], [2]] both margins' quantiles come from the
-    same calls.  A float for scalar i and p.
+    One marginal_H call tabulates H_i at _NODES for each coordinate in i.
+    The root lies between the first node where H_i reaches p and the node
+    before it, so it may not pass +-1e12.  From that bracket's ends, each
+    step is the secant through the last two iterates, or bisection where
+    the secant leaves the closed bracket, with one marginal_H call for all
+    (i, p) still running.  An (i, p) is final at a zero residual, at a
+    secant step of at most _XATOL, or at a bracket that narrow, which gives
+    the root of its chord; so its result does not depend on the others.
+    With i = [[1], [2]] both margins' quantiles come from the same calls.
+    A float for scalar i and p.
     """
     i, parr = np.broadcast_arrays(_coordinates(i), np.asarray(p, dtype=float))
     if not np.all((parr > 0.0) & (parr < 1.0)):
         raise ValueError("p must lie strictly inside (0, 1)")
-    shape = parr.shape
-    i, parr = i.ravel(), parr.ravel()
+    shape, i, parr = parr.shape, i.ravel(), parr.ravel()
     coords = np.unique(i)
-    table = marginal_H(model, coords[:, None, None], _NODES[:, None], abs_tol, order=[0, 1])
-    H, h = np.moveaxis(table[np.searchsorted(coords, i)], -1, 0)
+    H = marginal_H(model, coords[:, None], _NODES, abs_tol)[np.searchsorted(coords, i)]
     reached = H >= parr[:, None]
     bad = reached[:, 0] | ~reached[:, -1]
     if bad.any():
@@ -327,34 +283,42 @@ def marginal_H_quantile(model: CiModel, i, p, abs_tol: float = 1e-9):
     j = np.argmax(reached, axis=1)
     rows = np.arange(j.size)
     lo, hi = _NODES[j - 1], _NODES[j]
-    x = _hermite_root(lo, hi, H[rows, j - 1] - parr, H[rows, j] - parr,
-                      h[rows, j - 1], h[rows, j])
-
-    active = rows
-    for _ in range(_NEWTON_STEPS):
-        xa = x[active]
-        Hx, hx = marginal_H(model, i[active, None], xa[:, None], abs_tol, order=[0, 1]).T
-        f = Hx - parr[active]
-        lo[active] = np.where(f < 0.0, xa, lo[active])
-        hi[active] = np.where(f < 0.0, hi[active], xa)
+    # (x0, f0) and (x1, f1) are the last two iterates and their residuals,
+    # and flo, fhi those of the bracket's ends; only fhi can be 0
+    flo, fhi = H[rows, j - 1] - parr, H[rows, j] - parr
+    x0, x1, f0, f1 = lo.copy(), hi.copy(), flo.copy(), fhi.copy()
+    active = rows[f1 != 0.0]
+    for _ in range(_SECANT_STEPS):
+        xa, fa, a, b = x1[active], f1[active], lo[active], hi[active]
         with np.errstate(divide="ignore", invalid="ignore"):
-            new = xa - f / hx
-        new = np.where((new >= lo[active]) & (new <= hi[active]), new,
-                       0.5 * (lo[active] + hi[active]))
-        new = np.where(f == 0.0, xa, new)
-        x[active] = new
-        active = active[np.abs(new - xa) > _XATOL + 4 * np.spacing(np.abs(xa))]
+            new = xa - fa * (xa - x0[active]) / (fa - f0[active])
+        secant = (new >= a) & (new <= b)
+        new = np.where(secant, new, 0.5 * (a + b))
+        tol = _XATOL + 4 * np.spacing(np.abs(xa))
+        done = secant & (np.abs(new - xa) <= tol)
+        x1[active[done]] = new[done]
+        active, new, tol = active[~done], new[~done], tol[~done]
         if not active.size:
             break
-    else:
+        f = marginal_H(model, i[active], new, abs_tol) - parr[active]
+        below = f < 0.0
+        lo[active], flo[active] = np.where(below, new, lo[active]), np.where(below, f, flo[active])
+        hi[active], fhi[active] = np.where(below, hi[active], new), np.where(below, fhi[active], f)
+        x0[active], f0[active] = x1[active], f1[active]
+        x1[active], f1[active] = new, f
+        narrow = hi[active] - lo[active] <= tol
+        k = active[narrow]
+        x1[k] = lo[k] - flo[k] * (hi[k] - lo[k]) / (fhi[k] - flo[k])
+        active = active[(f != 0.0) & ~narrow]
+    if active.size:
         k = active[0]
-        best, gap = float(x[k]), float(hi[k] - lo[k])
+        best, gap = float(x1[k]), float(hi[k] - lo[k])
         raise QuadConvergenceError(
             f"level {float(parr[k])!r} of marginal H{int(i[k])} did not converge in "
-            f"{_NEWTON_STEPS} Newton steps (best iterate {best}, bracket width {gap})",
+            f"{_SECANT_STEPS} secant steps (best iterate {best}, bracket width {gap})",
             best, gap)
-    x = x.reshape(shape)
-    return float(x) if x.ndim == 0 else x
+    x1 = x1.reshape(shape)
+    return float(x1) if x1.ndim == 0 else x1
 
 
 @dataclass(frozen=True)
@@ -370,8 +334,8 @@ def gap_on_grid(model: CiModel, x1s, x2s, abs_tol: float = 1e-9) -> GapResult:
     """H, H1*H2 and their difference at every point of the grid x1s x x2s."""
     x1s = np.asarray(x1s, dtype=float)
     x2s = np.asarray(x2s, dtype=float)
-    # one call on the grid bordered by +inf: its last column is H1, its
-    # last row H2
+    # one call on the grid with +inf appended to both axes: its last
+    # column is H1, its last row H2
     full = limit_H(model, np.append(x1s, math.inf)[:, None],
                    np.append(x2s, math.inf)[None, :], abs_tol)
     h = full[:-1, :-1]
