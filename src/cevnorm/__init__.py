@@ -9,10 +9,8 @@ from .norming import ErvParams, alpha, beta, limit_shift, normed, psi
 from .models import (
     CiModel,
     NoiseLaw,
-    kernel_cdf,
     noise_cdf,
     noise_quantile,
-    theoretical_Gv,
 )
 from .simulate import (
     ExceedanceSample,

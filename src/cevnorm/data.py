@@ -41,12 +41,25 @@ NEWTON_MAXITER = 100
 NEWTON_TOL = 1e-12  # Newton decrement, in units of the log-likelihood
 MAX_BRACKET_STEPS = 200
 
-BLOCK_CHARS = 1 << 16  # text read per block, completed to the next newline
-SLICE_LINES = 64  # lines per np.loadtxt call; a refused slice is read row by row
+BLOCK_CHARS = 1 << 17  # text read per block, completed to the next newline
 # a block holding one of these is read by csv.reader from there on: the
-# quote and "\r" move row ends off "\n", NUL is a csv.Error before Python
-# 3.11, and loadtxt strips \x1c-\x1f as whitespace where float() does not
-_CSV_ONLY = '"\r\x00\x1c\x1d\x1e\x1f'
+# quote and "\r" move row ends off "\n", and NUL is a csv.Error before
+# Python 3.11
+_CSV_ONLY = '"\r\x00'
+# a delimiter that can be part of a number, or a newline, sends the whole
+# file to csv.reader
+_NUMBER_CHARS = "0123456789.+-eE\n"
+
+# _decimal_cells reads a cell as the three little-endian words of the 24
+# bytes that end where it ends; for n bytes, _KEEP[:, n] keeps the last n
+_KEEP = np.where(np.arange(24) >= 24 - np.arange(25)[:, None], 0xFF, 0).astype(np.uint8)
+_KEEP = _KEEP.view("<u8").T.copy()
+_WORDS = np.array([[0], [8], [16]])
+_ONES = np.uint64(0x0101010101010101)  # times b: b in every byte
+_PAIRS, _QUADS = np.uint64(0x00FF00FF00FF00FF), np.uint64(0x0000FFFF0000FFFF)
+_MAX_P = 22  # the largest |p| for which 10**p is an exact double
+_POW10 = np.array([float(10 ** p) for p in range(_MAX_P + 1)])
+_POW5 = np.array([5 ** p for p in range(_MAX_P + 1)], dtype=np.uint64)
 
 
 class DataError(ValueError):
@@ -105,12 +118,24 @@ def load_csv(path, conditioning_column: str, value_columns: Sequence[str],
     header name resolves to its last column, as in csv.DictReader.
 
     That per-row rule (_read_rows) is the definition.  The text is read in
-    blocks of BLOCK_CHARS, and each slice of SLICE_LINES lines is parsed by
-    np.loadtxt, which strips a cell's whitespace and converts it by the
-    same PyOS_string_to_double as float().  A slice loadtxt refuses goes
-    through the rule, and so does the rest of the file from the first
-    block that holds a _CSV_ONLY character or is longer than csv's field
-    size limit.
+    blocks of BLOCK_CHARS and split with numpy at delimiters and newlines,
+    where csv.reader splits a line that holds no quote, so the rule applies
+    to all the lines of a block at once (_read_block).
+
+    A cell that is an optional '-', a mantissa of digits with at most one
+    '.', and an optional exponent ('e' or 'E', a sign and up to three
+    digits) has the value -M * 10**p or M * 10**p, with M the mantissa's
+    digits as an integer and p the exponent less the digits after the
+    point.  _decimal_cells checks and sums the digits eight at a time in
+    uint64 words (SWAR).  For M < 2**53 and |p| <= _MAX_P, M times or over
+    10.0**|p| is one rounding of exact operands (Clinger's fast path).  For
+    larger M < 10**19 that double, or the next one up or down, is
+    certified as the nearest by an exact integer residual.  A tie, a power
+    of two and every other cell go to float(), so no value is taken from
+    an approximation.  The rest of the file goes through the rule from the
+    first block that holds a _CSV_ONLY character or a line longer than
+    csv's field size limit, and the whole file does for a delimiter that
+    can be part of a number or is not ASCII.
     """
     if len(value_columns) != 2:
         raise ValueError("exactly two value columns are required")
@@ -125,21 +150,20 @@ def load_csv(path, conditioning_column: str, value_columns: Sequence[str],
                 if col not in index:
                     raise DataError(f"column {col!r} not found in {path}")
             usecols = tuple(index[col] for col in wanted)
+            fast = delimiter.isascii() and delimiter not in _NUMBER_CHARS
             while text := fh.read(BLOCK_CHARS):
                 if text[-1] != "\n":
                     text += fh.readline()
-                # a block longer than csv's field size limit may hold a
-                # field csv refuses
-                if (len(text) > csv.field_size_limit()
-                        or any(c in text for c in _CSV_ONLY)):
-                    rows = csv.reader(chain(io.StringIO(text, newline=""), fh),
-                                      delimiter=delimiter)
-                    dropped += _read_rows(rows, usecols, cols)
-                    break
-                lines = text.split("\n")
-                for lo in range(0, len(lines), SLICE_LINES):
-                    part = lines[lo:lo + SLICE_LINES]
-                    dropped += _read_slice(part, delimiter, usecols, cols)
+                if fast and not any(c in text for c in _CSV_ONLY):
+                    read = _read_block(text if text[-1] == "\n" else text + "\n",
+                                       delimiter, usecols, cols)
+                    if read is not None:
+                        dropped += read
+                        continue
+                rows = csv.reader(chain(io.StringIO(text, newline=""), fh),
+                                  delimiter=delimiter)
+                dropped += _read_rows(rows, usecols, cols)
+                break
     except (csv.Error, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: unreadable CSV ({exc})") from exc
     x0, y1, y2 = (np.frombuffer(c, dtype=float) for c in cols)
@@ -177,24 +201,211 @@ def _read_rows(rows, usecols, cols) -> int:
     return dropped
 
 
-def _read_slice(lines, delimiter, usecols, cols) -> int:
-    """Append the rows of lines, which hold no _CSV_ONLY character, to cols
-    through np.loadtxt; by _read_rows if loadtxt refuses them or skips a
-    line that is not empty."""
-    full = len(lines) - lines.count("")
-    if not full:
-        return 0  # loadtxt warns on no data
-    try:
-        block = np.loadtxt(lines, delimiter=delimiter, usecols=usecols,
-                           comments=None, quotechar=None, ndmin=2)
-    except ValueError:
-        pass
-    else:
-        if len(block) == full:
-            for c, v in zip(cols, block.T):
-                c.frombytes(v.tobytes())
-            return 0
-    return _read_rows(csv.reader(lines, delimiter=delimiter), usecols, cols)
+def _read_block(text, delimiter, usecols, cols):
+    """Append the rows of text, which ends in a newline and holds no
+    _CSV_ONLY character, to cols by load_csv's rule; return how many were
+    dropped, or None, with nothing appended, if a line is longer than
+    csv's field size limit.
+
+    Without a quote, csv.reader splits a line at each delimiter, so the
+    rule applies to all lines at once: an empty line is skipped, one with
+    too few cells is dropped, and the used cells of the others are read by
+    _cell_values.  A cell float() rejects reads as NaN, so that its row is
+    dropped with the non-finite ones.
+    """
+    raw = text.encode()
+    a = np.frombuffer(raw, dtype=np.uint8)
+    # each cell ends at a separator or a newline: cell j spans
+    # bounds[j] + 1 to bounds[j + 1]
+    ends = a == ord(delimiter)
+    ends |= a == ord("\n")
+    bounds = np.flatnonzero(ends)
+    del ends
+    bounds = np.concatenate(([-1], bounds))
+    last = np.flatnonzero(a[bounds[1:]] == ord("\n"))  # each line's last cell
+    length = np.diff(bounds[last + 1], prepend=-1) - 1
+    if length.max() > csv.field_size_limit():
+        return None
+    cells = np.diff(last, prepend=-1)
+    filled = length > 0
+    full = filled & (cells > max(usecols))
+    j = ((last[full] - cells[full] + 1)[:, None] + np.array(usecols)).reshape(-1)
+    rows = _cell_values(raw, bounds[j] + 1, bounds[j + 1]).reshape(-1, len(usecols))
+    for c, v in zip(cols, rows.T):
+        c.frombytes(v.tobytes())
+    return int(np.count_nonzero(filled & ~full))
+
+
+def _cell_values(raw, start, end) -> np.ndarray:
+    """float() of each cell raw[start:end], or NaN where float() rejects
+    it: by _decimal_cells, and by float() where that leaves a cell open."""
+    values, exact = _decimal_cells(raw, start, end)
+    for i in np.flatnonzero(~exact).tolist():
+        try:
+            values[i] = float(raw[start[i]:end[i]].decode())
+        except ValueError:
+            values[i] = math.nan
+    return values
+
+
+def _byte_count(x):
+    """The number of bytes with their low bit set in the words of x,
+    summed over its first axis."""
+    x = x & _ONES
+    x *= _ONES
+    x >>= 56
+    return x.sum(axis=0).astype(np.int64)
+
+
+def _eight_digits(w):
+    """Whether each word of w is eight digits, as bytes 0-9, and their
+    value as an integer, which overwrites w."""
+    # no high nibble set in a byte or in it + 6
+    bad = w + 0x06 * _ONES
+    bad |= w
+    bad &= 0xF0 * _ONES
+    # pairs, quads, then all eight
+    w *= 2561
+    w >>= 8
+    w &= _PAIRS
+    w *= 6553601
+    w >>= 16
+    w &= _QUADS
+    w *= 42949672960001
+    w >>= 32
+    return bad == 0, w
+
+
+def _exponents(text, words, start, end):
+    """Where each cell's mantissa ends, its decimal exponent and whether
+    that is one 'e' or 'E', an optional sign and one to three digits, or
+    none of them."""
+    stop, power, ok = end, np.zeros(end.size, dtype=np.int64), np.ones(end.size, dtype=bool)
+    marks = np.flatnonzero((text | 0x20) == ord("e"))
+    if marks.size and end.size:
+        cell = np.minimum(np.searchsorted(end, marks), end.size - 1)
+        inside = start[cell] <= marks
+        inside &= marks < end[cell]
+        marks, cell = marks[inside], cell[inside]
+        stop = end.copy()
+        stop[cell] = marks
+        tail = end[cell]
+        sign = text[marks + 1]
+        digits = tail - marks - 1 - ((sign == ord("-")) | (sign == ord("+")))
+        # the last eight bytes of the cell, with the exponent's digits as
+        # 0-9 and the bytes before them as 0
+        x = words[tail + 16] ^ 0x30 * _ONES
+        x &= _KEEP[2, np.clip(digits, 0, 8)]
+        digit, x = _eight_digits(x)
+        power[cell] = np.where(sign == ord("-"), -1, 1) * x.astype(np.int64)
+        ok[cell] = digit & (digits >= 1) & (digits <= 3)
+        # a second 'e': numpy leaves open which of two writes to one index
+        # above lands
+        ok[cell[1:][cell[1:] == cell[:-1]]] = False
+    return stop, power, ok
+
+
+def _decimal_cells(raw, start, end):
+    """The values of the cells raw[start:end] and which of them are exact.
+
+    A cell is exact if it is an optional '-', a mantissa of at most 24
+    bytes, digits and at most one '.', and an optional exponent of 'e' or
+    'E', a sign and one to three digits, and if the integer M of its
+    mantissa's digits, k of them after the point, and its exponent x give
+    M < 10**19 and |x - k| <= _MAX_P, and its value, -M * 10**(x - k) or
+    M * 10**(x - k), is certified (see load_csv).  Other cells have no
+    value here.
+    """
+    padded = np.frombuffer(bytes(24) + raw, dtype=np.uint8)
+    words = np.ndarray((padded.size - 7,), "<u8", padded, 0, (1,))
+    text = padded[24:]
+    neg = text[start] == ord("-")
+    stop, power, exact = _exponents(text, words, start, end)
+    n = stop - start - neg  # the mantissa's bytes after its sign
+    # the 8 * size bytes that end where the mantissa does, as size words:
+    # as few as the block's longest mantissa needs, up to three.  Digits
+    # become 0-9, '.' 0x1e, and the bytes before the mantissa's digits 0.
+    # The arithmetic is in place where it can be
+    size = min(max((int(n.max(initial=0)) + 7) // 8, 1), 3)
+    w = words[stop + _WORDS[3 - size:]]
+    w ^= 0x30 * _ONES
+    w &= _KEEP[3 - size:, np.minimum(n, 24)]
+    # a point's byte, as 1 in u: the 0 bytes of t = w ^ 0x1e.  A 1 byte of
+    # t right above a 0 byte is taken for one too, but that is a '/' after
+    # a point, and a cell with two is not exact
+    t = w ^ 0x1E * _ONES
+    u = t - _ONES
+    u &= np.invert(t, out=t)
+    del t
+    u &= 0x80 * _ONES
+    u >>= 7
+    points = _byte_count(u)
+    # the point and the bytes below it take the byte below them, and a 0
+    # enters at the bottom: u becomes the mask of the 8 * size - k bytes
+    # moved
+    inword = u != 0  # then: the point is in this word or a later one
+    for i in range(size - 2, -1, -1):
+        inword[i] |= inword[i + 1]
+    u <<= 8
+    u -= 1
+    u *= inword
+    power -= (8 * size - _byte_count(u)) * (points == 1)
+    shifted = w << 8
+    shifted[1:] |= w[:-1] >> 56
+    shifted ^= w
+    shifted &= u
+    w ^= shifted
+    del u, shifted
+    ok, w = _eight_digits(w)
+    # M < 10**19, so that it fits in a uint64
+    exact &= ok.all(axis=0) & (w[0] < 10 ** (27 - 8 * size))
+    exact &= (n - points > 0) & (n <= 24) & (points <= 1) & (np.abs(power) <= _MAX_P)
+    del stop, n, points
+    m = w[0].copy()
+    for row in w[1:]:
+        m *= 10 ** 8
+        m += row
+    del w
+    values, nearest = _nearest(m, np.clip(power, -_MAX_P, _MAX_P, out=power))
+    exact &= nearest
+    bits = values.view(np.int64)
+    bits |= neg.astype(np.int64) << 63
+    return values, exact
+
+
+def _nearest(m, p):
+    """The double nearest to each m * 10**p, for uint64 m and |p| <=
+    _MAX_P, and where that is certified.
+
+    Where m < 2**53 it is one rounding of exact operands (Clinger's fast
+    path).  Otherwise the double f * 2**q after two roundings, or the one
+    an ulp away, is the nearest by the sign of the residual
+    r = 2m * 10**p * 2**-q - 2f against the half-ulp 1, both times 5**-p
+    where p < 0 and times 2**(q - p) where q > p, which makes them
+    integers.  r is a few half-ulps at most, so it is exact in wrapping
+    uint64 arithmetic while the half-ulp is below 2**61.  A tie, and a
+    power of two, whose ulp below is half the ulp above, are not certified.
+    """
+    values = m.astype(float)
+    values *= _POW10[np.maximum(p, 0)]
+    values /= _POW10[np.maximum(-p, 0)]
+    big = m >= 2 ** 53
+    bits = values.view(np.int64)
+    f = bits & (2 ** 52 - 1) | 2 ** 52
+    e = (bits >> 52) - 1075 - p
+    up, down = np.maximum(-e, 0).astype(np.uint64), np.maximum(e, 0).astype(np.uint64)
+    del e
+    five = _POW5[np.maximum(-p, 0)]
+    half = (five << down).view(np.int64)
+    r = m * 2 * _POW5[np.maximum(p, 0)] << up
+    r -= f.view(np.uint64) * 2 * five << down
+    del up, down, five
+    r = r.view(np.int64)
+    step = ((r > half) & big).astype(np.int64) - ((r < -half) & big)
+    r -= 2 * step * half
+    certified = ~big | (np.abs(r) < half) & (half < 2 ** 61) & (f + step > 2 ** 52)
+    bits += step
+    return values, certified
 
 
 def to_pareto_margins(values) -> np.ndarray:

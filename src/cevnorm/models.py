@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.special import expit, logit, ndtr, ndtri
 
-from .norming import ErvParams, alpha, beta, limit_shift, normed
+from .norming import ErvParams, alpha, beta
 
 
 class NoiseFamily(NamedTuple):
@@ -168,25 +168,3 @@ def conditional_from_uniforms(model: CiModel, x0, u1, u2):
     x1 = beta(model.erv1, x0) + alpha(model.erv1, x0) * z1
     x2 = beta(model.erv2, x0) + alpha(model.erv2, x0) * z2
     return x1, x2
-
-
-def kernel_cdf(model: CiModel, i: int, x0, y):
-    """Markov kernel CDF P(X_i <= y | X0 = x0)."""
-    x0 = np.asarray(x0, dtype=float)
-    if np.any(x0 <= 0):
-        raise ValueError("x0 must be positive")
-    s = normed(y, x0, model.erv(i))
-    return noise_cdf(model.noise(i), s - model.perturbation / x0)
-
-
-def theoretical_Gv(model: CiModel, i: int, v, x):
-    """Closed-form shifted limit family G_v(x) = G((x - psi(v))/v**rho).
-
-    Exact at every finite level for the unperturbed canonical model;
-    G_1 coincides with the noise CDF itself.
-    """
-    varr = np.asarray(v, dtype=float)
-    if np.any(varr < 1.0):
-        raise ValueError("v must be >= 1")
-    return noise_cdf(model.noise(i), limit_shift(x, varr, model.erv(i)))
-

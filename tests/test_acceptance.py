@@ -14,7 +14,6 @@ import pytest
 from cevnorm.cli import main
 from cevnorm.data import Dataset, fit_dataset, fit_norming, load_csv, residual_diagnostic
 from cevnorm.limits import factorization_gap, limit_H, marginal_H_quantile
-from cevnorm.models import kernel_cdf, theoretical_Gv
 from cevnorm.norming import ErvParams, alpha, beta, psi
 from cevnorm.simulate import (
     apply_deterministic_norming,
@@ -30,6 +29,7 @@ from cevnorm.stats import (
 )
 
 from conftest import make_model
+from test_models import kernel_cdf, theoretical_Gv
 
 CANONICAL = make_model()  # rho=(.5,.5), kappa=(1,1), a=(1,1), gaussian(0,1)^2
 

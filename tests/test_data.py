@@ -4,7 +4,9 @@ pseudo-likelihood norming fits, and the residual diagnostic."""
 import codecs
 import csv
 import math
+import struct
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ import cevnorm.data as data_mod
 from cevnorm.data import (
     BLOCK_CHARS,
     MIN_EXCEEDANCES,
-    SLICE_LINES,
     DataError,
     Dataset,
     FitConvergenceError,
@@ -28,7 +29,7 @@ from cevnorm.data import (
     to_pareto_margins,
     write_residuals_csv,
 )
-from cevnorm.simulate import draw_exceedances
+from cevnorm.simulate import draw_exceedances, write_table
 
 from conftest import make_model
 
@@ -117,15 +118,23 @@ class TestLoadCsv:
         np.testing.assert_array_equal(np.column_stack([ds.x0, ds.y1, ds.y2]), expected)
         assert ds.n_dropped == dropped
 
+    def test_one_column_read_three_times(self, tmp_path):
+        # a blank line is skipped, not read as one empty cell
+        path = write_file(tmp_path, "a\n1\n\n2\nx\n\n")
+        expected, dropped = dictreader_reference(path, ["a", "a", "a"])
+        ds = load_csv(path, "a", ["a", "a"])
+        np.testing.assert_array_equal(np.column_stack([ds.x0, ds.y1, ds.y2]), expected)
+        assert (ds.n, ds.n_dropped) == (2, 1) and dropped == 1
+
     def test_wrong_value_column_count(self, tmp_path):
         path = write_file(tmp_path, "a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
             load_csv(path, "a", ["b"])
 
 
-# cells that float() and np.loadtxt might read apart: what only float()
-# accepts, padding, non-finite and malformed values, and characters that
-# send a block to csv.reader
+# cells that float() and the block reader might read apart: what only
+# float() accepts, padding, non-finite and malformed values, and
+# characters that send a block to csv.reader
 ODD_CELLS = ("1_000", "\u0661\u0662", " 8 ", "nan", "-Infinity", "1e999", "", "-",
              "\x1c1", "2\x00", '"3"', "\xa04", "+.5e-3")
 CELL_CHARS = "0123456789.eE+-_ \t\"\x00\x1c\x1f\x0b\x85\xa0\u2003\u0661inf"
@@ -138,13 +147,13 @@ def data_lines(n):
 @st.composite
 def csv_texts(draw):
     """(text, delimiter) of a file whose header holds a, b and c."""
-    delimiter = draw(st.sampled_from([",", ";", " ", "\t"]))
+    delimiter = draw(st.sampled_from([",", ";", " ", "\t", ".", "-", "0", "e", "\u00a7"]))
     cell = st.one_of(st.floats().map(repr), st.sampled_from(ODD_CELLS),
                      st.text(CELL_CHARS, max_size=4))
     line = st.one_of(st.lists(cell, max_size=5).map(delimiter.join),
                      st.sampled_from(["", " ", "\t "]))
     header = delimiter.join(draw(st.permutations("abcd")))
-    lines = draw(st.lists(line, max_size=3 * SLICE_LINES))
+    lines = draw(st.lists(line, max_size=200))
     eol = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
     return eol.join([header, *lines]) + draw(st.sampled_from([eol, ""])), delimiter
 
@@ -157,9 +166,17 @@ def straddling_quote():
     return "a,b,c\n" + head + pad + '7,"8\n",9\n4,5,6\n'
 
 
+def block_edge(shift, tail="4,5,6\n7,8,9\n"):
+    """A file whose rows after the header line end BLOCK_CHARS + shift
+    characters in, at a newline, and then hold tail."""
+    head = "1,2,3\n" * (BLOCK_CHARS // 6 - 2)
+    pad = "1,2," + "3".zfill(BLOCK_CHARS + shift - len(head) - 5) + "\n"
+    return "a,b,c\n" + head + pad + tail
+
+
 class TestBlockReader:
-    """load_csv parses blocks through np.loadtxt; it must read every file
-    exactly as the per-row rule does."""
+    """load_csv splits blocks and converts their cells with numpy; it must
+    read every file exactly as the per-row rule does."""
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -175,13 +192,21 @@ class TestBlockReader:
     @example(case=("a,b,c\n" + "".join(f"{v},1,2\n" for v in (
         "1_000", "\u0661\u0662", " 8 ", "nan", "-Infinity", "1e999", "", "-")), ","))
     @example(case=("a,b,c\n1,2,3\n\n   \n\t\n1,2\n\n1,2,3,4,5\n7\n", ","))
-    @example(case=("a,b,c\n" + data_lines(SLICE_LINES - 1), ","))
-    @example(case=("a,b,c\n" + data_lines(SLICE_LINES), ","))
-    @example(case=("a,b,c\n" + data_lines(SLICE_LINES + 1), ","))
-    @example(case=("a,b,c\n" + data_lines(SLICE_LINES) + "x,1,2\n", ","))
-    # a field over csv's size limit, in a column loadtxt does not read
+    @example(case=("a,b,c\n1,2\ne\n", ","))  # no row to convert, and an 'e'
+    @example(case=("a,b,c,d\n1e1,2E-2,3e+3,e\n4,5,6e\n7e,8,9,1\n", ","))
+    @example(case=(block_edge(-1), ","))
+    @example(case=(block_edge(0), ","))
+    @example(case=(block_edge(1), ","))
+    @example(case=(block_edge(0, "x,1,2\n1,2\n\n4,5,6"), ","))
+    @example(case=(block_edge(1, "")[:-1], ","))  # one block, no newline at its end
+    # a field over csv's size limit, in a column load_csv does not read
     @example(case=("a,b,c,d\n1,2,3,4\n1,2,3,"
                    + "4" * (csv.field_size_limit() + 1) + "\n", ","))
+    @example(case=("a.b.c\n1.2.3\n4.-5.6\n", "."))
+    @example(case=("a-b-c\n1-2.5-3\n-4--5-6\n", "-"))
+    @example(case=("a0b0c\n1020.53\n4.505.6\n", "0"))
+    @example(case=("aebec\n1e2.5e3\n4e1e5e6\n", "e"))
+    @example(case=("a\u00a7b\u00a7c\n1\u00a72\u00a73\n4\u00a7x\u00a76\n", "\u00a7"))
     def test_matches_reference(self, tmp_path, case):
         text, delimiter = case
         path = tmp_path / "data.csv"
@@ -209,8 +234,13 @@ class TestBlockReader:
         ds = load_csv(path, "a", ["b", "c"])
         assert ds.n_dropped == 0 and (ds.x0[-2], ds.y1[-2], ds.y2[-2]) == (7, 8, 9)
 
+    def test_block_edge_layout(self):
+        for shift in (-1, 0, 1):
+            text = block_edge(shift)
+            assert text.index("4,5,6") - len("a,b,c\n") == BLOCK_CHARS + shift
+
     def test_bom_prefixed_file_loads_as_without(self, tmp_path):
-        text = ("x0,x1,x2\n1,2,3\n4,y,6\n" + data_lines(2 * SLICE_LINES)).encode()
+        text = ("x0,x1,x2\n1,2,3\n4,y,6\n" + data_lines(128)).encode()
         plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
         plain.write_bytes(text)
         bom.write_bytes(codecs.BOM_UTF8 + text)
@@ -218,7 +248,143 @@ class TestBlockReader:
         b = load_csv(bom, "x0", ["x1", "x2"])
         for col in ("x0", "y1", "y2"):
             assert getattr(a, col).tobytes() == getattr(b, col).tobytes()
-        assert (a.n, a.n_dropped) == (b.n, b.n_dropped) == (2 * SLICE_LINES + 1, 1)
+        assert (a.n, a.n_dropped) == (b.n, b.n_dropped) == (129, 1)
+
+
+def float_bits(cell):
+    """The bytes of float(cell), or of NaN where float() rejects it."""
+    try:
+        value = float(cell)
+    except ValueError:
+        value = math.nan
+    return struct.pack("<d", value)
+
+
+def cell_values(cells):
+    """data._cell_values on cells joined into one line, and which of them
+    the exact path took."""
+    raw = (",".join(cells) + "\n").encode()
+    ends = np.flatnonzero(np.isin(np.frombuffer(raw, dtype=np.uint8), (ord(","), ord("\n"))))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    _, exact = data_mod._decimal_cells(raw, starts, ends)
+    return data_mod._cell_values(raw, starts, ends), exact
+
+
+@st.composite
+def decimals(draw):
+    """1-19 digits with a point anywhere, or none, or two, a sign, leading
+    zeros and an exponent or none."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=19))
+    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2]))):
+        point = draw(st.integers(0, len(digits)))
+        digits = digits[:point] + "." + digits[point:]
+    exponent = draw(st.one_of(st.just(""), st.tuples(
+        st.sampled_from("eE"), st.sampled_from(["", "+", "-"]),
+        st.text("0123456789", max_size=4)).map("".join)))
+    return draw(st.sampled_from(["", "-"])) + "0" * draw(st.integers(0, 4)) + digits + exponent
+
+
+@st.composite
+def midpoints(draw):
+    """The exact midpoint of two adjacent doubles, or it with its last
+    digit one up or down."""
+    lo = draw(st.one_of(st.floats(2.0 ** 50, 2.0 ** 62), st.floats(1e-5, 1e18)))
+    with localcontext() as ctx:
+        ctx.prec = 1100
+        mid = (Decimal(lo) + Decimal(np.nextafter(lo, math.inf))) / 2
+        mid += draw(st.sampled_from([-1, 0, 1])) * Decimal((0, (1,), mid.as_tuple().exponent))
+    return format(mid, draw(st.sampled_from("fe")))
+
+
+class TestCellConverter:
+    """data._cell_values reads each cell as float() does, bit for bit; the
+    vectorised path takes only values it can certify."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(cell=st.one_of(st.floats().map(repr), decimals(), midpoints()))
+    @example(cell="-0")
+    @example(cell="0.0")
+    @example(cell="9007199254740993")
+    @example(cell="4503599627370495.5")
+    @example(cell=".5")
+    @example(cell="5.")
+    @example(cell="1.2.3")
+    @example(cell="9.1906582.96")  # points in two words
+    @example(cell="--1")
+    @example(cell="1-2")
+    @example(cell=" 1")
+    @example(cell="1_0")
+    @example(cell="\u0661\u0662")
+    def test_matches_float(self, cell):
+        values, _ = cell_values([cell])
+        assert values[0].tobytes() == float_bits(cell)
+
+    def test_bulk_matches_float(self):
+        # repr over all finite doubles and of log-uniform ones, 18-digit
+        # decimals, np.savetxt's cells and midpoints of adjacent doubles, as
+        # one line each; the share the exact path takes is a floor
+        rng = np.random.default_rng(11)
+        bits = rng.integers(0, 0x7FF0_0000_0000_0000, 20000)
+        wide = bits.view(float) * rng.choice([-1.0, 1.0], bits.size)
+        logu = 10.0 ** rng.uniform(-6, 17, 60000) * rng.choice([-1.0, 1.0], 60000)
+        digits = rng.integers(0, 10, (60000, 18)).astype(np.uint8) + ord("0")
+        point = rng.integers(0, 19, 60000)
+        decimal_cells = [d[:p] + "." + d[p:] for d, p in
+                         zip(map(bytes.decode, map(bytes, digits)), point.tolist())]
+        savetxt = [f % v for v in logu.tolist()[:20000] for f in ("%.18e", "%.6e")]
+        mids = [format((Decimal(v) + Decimal(np.nextafter(v, math.inf))) / 2, "f")
+                for v in (2.0 ** rng.uniform(50, 62, 5000)).tolist()]
+        for cells, least in ((list(map(repr, wide.tolist())), 0.0),
+                             (list(map(repr, logu.tolist())), 0.99),
+                             (decimal_cells, 0.99), (mids, 0.0), (savetxt, 0.9)):
+            values, exact = cell_values(cells)
+            assert values.tobytes() == b"".join(map(float_bits, cells))
+            assert exact.mean() >= least
+
+    @pytest.mark.parametrize("cell, exact", [
+        ("0", True), ("-0.0", True), ("123.456", True), ("0.00012345678901234567", True),
+        ("1.2345678901234567", True), ("9999999999999999999", True),
+        ("10000000000000000000", False),  # 20 digits
+        ("4503599627370495.5", True),  # 2**52 - 0.5, from m >= 2**53
+        ("12345678901234567", False),  # a tie of ...66 and ...68
+        ("9.007199254740993e15", False),  # a tie of 2**53 and 2**53 + 2
+        ("9007199254740992", False),  # a power of two from m >= 2**53
+        ("1e5", True), ("-1.5E-3", True), ("2.5e+022", True), ("2.5e+0022", False),  # 4 exponent digits
+        ("1.234567890123456789e+00", True), ("5e22", True), ("5e-22", True),
+        ("5e23", False), ("5e-23", False), ("1e", False), ("1e+", False), ("e5", False),
+        ("1e5e5", False), ("1e-5.5", False),
+        ("9723643316807887861e22", False),  # a half-ulp of 2**62: r could wrap
+        ("", False), ("-", False), (".", False), ("+1", False),
+    ])
+    def test_exact_domain(self, cell, exact):
+        values, took = cell_values([cell])
+        assert took[0] == exact
+        assert values[0].tobytes() == float_bits(cell)
+
+
+class TestRoundTrip:
+    """write_table then load_csv gives every column back bit for bit."""
+
+    def test_whole_float_range(self, tmp_path):
+        rng = np.random.default_rng(5)
+        n = 30000
+        sign = rng.choice([-1.0, 1.0], n)
+        # repr's notation changes at 1e-4 and 1e16: a few ulps each side
+        edges = np.concatenate([e + np.arange(-3, 4) * np.spacing(e) for e in (1e-4, 1e16)])
+        special = np.concatenate([
+            [0.0, -0.0], 2.0 ** np.arange(-1074, 1024),
+            np.ldexp(rng.integers(2 ** 52, 2 ** 53, 2000).astype(float), rng.integers(1, 900, 2000)),
+            rng.integers(2 ** 53, 2 ** 63, 2000, dtype=np.uint64).astype(float), edges])
+        special = np.concatenate([special, -special])
+        columns = [10.0 ** rng.uniform(-320, 300, n) * sign,
+                   np.resize(rng.permutation(special), n),
+                   10.0 ** rng.uniform(-6, 17, n) * sign[::-1]]
+        path = tmp_path / "table.csv"
+        write_table(path, ("x0", "x1", "x2"), columns)
+        ds = load_csv(path, "x0", ["x1", "x2"])
+        assert (ds.n, ds.n_dropped) == (n, 0)
+        for got, want in zip((ds.x0, ds.y1, ds.y2), columns):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestMemory:

@@ -14,17 +14,36 @@ from cevnorm.models import (
     CiModel,
     NoiseLaw,
     conditional_from_uniforms,
-    kernel_cdf,
     noise_cdf,
     noise_quantile,
     pareto_exceedance_from_uniform,
-    theoretical_Gv,
 )
-from cevnorm.norming import ErvParams, alpha, beta
+from cevnorm.norming import ErvParams, alpha, beta, limit_shift, normed
 
 from conftest import make_model
 
 DKW_1E5 = math.sqrt(math.log(2.0 / 0.01) / (2.0 * 10**5))  # ~0.0052 < 0.007
+
+
+def kernel_cdf(model: CiModel, i: int, x0, y):
+    """Markov kernel CDF P(X_i <= y | X0 = x0)."""
+    x0 = np.asarray(x0, dtype=float)
+    if np.any(x0 <= 0):
+        raise ValueError("x0 must be positive")
+    s = normed(y, x0, model.erv(i))
+    return noise_cdf(model.noise(i), s - model.perturbation / x0)
+
+
+def theoretical_Gv(model: CiModel, i: int, v, x):
+    """Closed-form shifted limit family G_v(x) = G((x - psi(v))/v**rho).
+
+    Exact at every finite level for the unperturbed canonical model;
+    G_1 coincides with the noise CDF itself.
+    """
+    varr = np.asarray(v, dtype=float)
+    if np.any(varr < 1.0):
+        raise ValueError("v must be >= 1")
+    return noise_cdf(model.noise(i), limit_shift(x, varr, model.erv(i)))
 
 
 class TestNoiseLaw:
