@@ -27,6 +27,7 @@ from .limits import (
 from .stats import (
     Ecdf,
     TestResult,
+    cell_table,
     chi_hat,
     factorization_stat,
     ks_distance,

@@ -57,6 +57,7 @@ from .simulate import (
 from .stats import (
     DEFAULT_LEVELS,
     Ecdf,
+    cell_table,
     chi_hat,
     factorization_stat,
     joint_ecdf,
@@ -398,9 +399,9 @@ def _norm_metrics(cfg: Config, threads: int, mode: str):
                               cfg.run["seed"], threads=threads)
     norm = apply_random_norming if mode == "random" else apply_deterministic_norming
     normed = norm(sample, cfg.model)
-    delta = factorization_stat(normed, cfg.analysis["levels"])
-    test = permutation_independence_test(normed, cfg.analysis["levels"],
-                                         cfg.analysis["b"], cfg.run["seed"])
+    table = cell_table(normed, cfg.analysis["levels"])
+    delta = factorization_stat(table)
+    test = permutation_independence_test(table, cfg.analysis["b"], cfg.run["seed"])
     return normed, delta, test
 
 
@@ -477,10 +478,10 @@ def cmd_diagnose(cfg: Config, threads: int):
     dataset = load_csv(d["path"], d["conditioning_column"],
                        d["value_columns"], d["delimiter"])
     fits = fit_dataset(dataset, d["family"], d["p_t"])
-    test = residual_diagnostic(dataset, fits, cfg.analysis["b"], cfg.run["seed"])
+    z1, z2 = residuals(dataset, fits)
+    test = residual_diagnostic((z1, z2), fits, cfg.analysis["b"], cfg.run["seed"])
     fits_path = cfg.out_dir() / "fitted_norming.json"
     write_json(fits_path, asdict(fits))
-    z1, z2 = residuals(dataset, fits)
     res_path = cfg.out_dir() / "residuals.csv"
     write_residuals_csv(z1, z2, res_path)
     metrics = {

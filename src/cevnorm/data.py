@@ -27,7 +27,12 @@ from scipy.optimize import minimize_scalar
 from .models import FAMILIES, NOISE_FAMILIES, NoiseLaw
 from .norming import ErvParams, normed, normed_log, normed_terms
 from .simulate import write_table
-from .stats import TestResult, permutation_independence_test, pseudo_uniforms
+from .stats import (
+    TestResult,
+    cell_table,
+    permutation_independence_test,
+    pseudo_uniforms,
+)
 
 MIN_FIT_ROWS = 100
 MIN_EXCEEDANCES = 30
@@ -77,7 +82,6 @@ class Dataset:
     x0: np.ndarray
     y1: np.ndarray
     y2: np.ndarray
-    source: str
     n: int
     n_dropped: int
 
@@ -173,8 +177,8 @@ def load_csv(path, conditioning_column: str, value_columns: Sequence[str],
         x0, y1, y2 = x0[finite], y1[finite], y2[finite]
     if not x0.size:
         raise DataError(f"{path}: no clean numeric rows")
-    return Dataset(columns=tuple(wanted), x0=x0, y1=y1, y2=y2, source=str(path),
-                   n=x0.size, n_dropped=dropped)
+    return Dataset(columns=tuple(wanted), x0=x0, y1=y1, y2=y2, n=x0.size,
+                   n_dropped=dropped)
 
 
 def _read_rows(rows, usecols, cols) -> int:
@@ -672,17 +676,17 @@ def residuals(dataset: Dataset, fits: FittedNorming):
     return out[0], out[1]
 
 
-def residual_diagnostic(dataset: Dataset, fits: FittedNorming,
+def residual_diagnostic(pairs, fits: FittedNorming,
                         b: int = 999, seed: int = 0) -> TestResult:
-    """Permutation independence test on the fitted-norming residuals.
+    """Permutation independence test on the pair of fitted-norming
+    residuals (z1, z2) that residuals(dataset, fits) returns.
 
     A small p-value is evidence against conditional independence in the
     tail of the data.
     """
     if not (fits.fit1.converged and fits.fit2.converged):
         raise FitConvergenceError("fits did not converge")
-    z1, z2 = residuals(dataset, fits)
-    return permutation_independence_test((z1, z2), b=b, seed=seed)
+    return permutation_independence_test(cell_table(pairs), b=b, seed=seed)
 
 
 def write_residuals_csv(z1, z2, path) -> None:

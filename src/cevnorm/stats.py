@@ -1,5 +1,6 @@
-"""Empirical machinery: ECDFs, sup-distances, factorization statistics,
-permutation independence tests and the tail dependence coefficient."""
+"""Empirical machinery: ECDFs, sup-distances, the cell table of a sample
+with its factorization statistic and permutation independence test, and
+the tail dependence coefficient."""
 
 from __future__ import annotations
 
@@ -55,7 +56,7 @@ def _cell_indices(w: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return np.searchsorted(grid, w, side="left")
 
 
-def _cell_table(d1: np.ndarray, d2: np.ndarray, n_levels: int) -> np.ndarray:
+def _count_cells(d1: np.ndarray, d2: np.ndarray, n_levels: int) -> np.ndarray:
     """#(d1 = k, d2 = l) for k, l in 0..n_levels."""
     m = n_levels + 1
     return np.bincount(d1 * m + d2, minlength=m * m).reshape(m, m)
@@ -83,16 +84,22 @@ def joint_ecdf(pairs, g1, g2) -> np.ndarray:
     """
     w1, w2 = _pairs(pairs)
     g1, g2 = np.asarray(g1, dtype=float), np.asarray(g2, dtype=float)
-    cells = _cell_table(_cell_indices(w1, g1), _cell_indices(w2, g2), g1.size)
+    cells = _count_cells(_cell_indices(w1, g1), _cell_indices(w2, g2), g1.size)
     return _joint_cdf(cells, w1.size)[:-1, :-1]
 
 
-def _observed(pairs, levels):
-    """Cell indices of each pair on the marginal-quantile grid of levels,
-    and the observed factorization distance."""
+def cell_table(pairs, levels: Sequence[float] = DEFAULT_LEVELS) -> np.ndarray:
+    """Counts of the pairs in the cells of their marginal-quantile grid.
+
+    The grid is the empirical marginal quantiles of the given levels, and
+    entry (k, l) of the (m + 1) x (m + 1) table, m = len(levels), counts
+    the pairs with w1 in cell k and w2 in cell l.  The marginals, and hence
+    the grid, are invariant under permuting the second coordinate, so the
+    factorization distance and its permutation test are functions of this
+    table alone.
+    """
     w1, w2 = _pairs(pairs)
-    n = w1.size
-    if n < 10:
+    if w1.size < 10:
         raise ValueError("need at least 10 pairs")
     if np.all(w1 == w1[0]) or np.all(w2 == w2[0]):
         raise ValueError("degenerate sample: a coordinate is constant")
@@ -101,29 +108,33 @@ def _observed(pairs, levels):
         raise ValueError("levels must be non-empty and inside (0, 1)")
     d1 = _cell_indices(w1, np.quantile(w1, lv))
     d2 = _cell_indices(w2, np.quantile(w2, lv))
-    return d1, d2, float(_table_stats(_cell_table(d1, d2, lv.size), n))
+    return _count_cells(d1, d2, lv.size)
 
 
-def factorization_stat(pairs, levels: Sequence[float] = DEFAULT_LEVELS) -> float:
-    """Empirical factorization distance max |F12 - F1*F2| over a grid.
+def factorization_stat(table) -> float:
+    """Empirical factorization distance max |F12 - F1*F2| of a cell table.
 
-    The grid is the empirical marginal quantiles of the given levels.
+    The table is cell_table's: a 2-d array of non-negative integer counts
+    of at least 10 pairs.
     """
-    return _observed(pairs, levels)[2]
+    cells = np.asarray(table)
+    valid = cells.ndim == 2 and cells.dtype.kind in "iu" and not np.any(cells < 0)
+    n = cells.sum() if valid else 0
+    if n < 10:
+        raise ValueError("table must be a 2-d array of non-negative integer "
+                         "counts of at least 10 pairs")
+    return float(_table_stats(cells, n))
 
 
-def permutation_independence_test(pairs, levels: Sequence[float] = DEFAULT_LEVELS,
-                                  b: int = 999, seed: int = 0) -> TestResult:
+def permutation_independence_test(table, b: int = 999,
+                                  seed: int = 0) -> TestResult:
     """Permutation test of independence based on the factorization distance.
 
-    The marginals, and hence the quantile grid, are invariant under
-    permuting the second coordinate, so the statistic depends only on the
-    table of counts in the grid's cells.  Permuting w2 against a fixed w1
-    draws that table from its exact null law, the Fisher-Freeman-Halton
-    (multivariate hypergeometric) law given both margins.  The b replicate
-    tables are drawn from that law directly by Patefield's algorithm
-    (AS 159, ``scipy.stats.random_table``), at a cost per replicate set by
-    the number of cells rather than by n.
+    Permuting w2 against a fixed w1 draws the cell table from its exact
+    null law, the Fisher-Freeman-Halton (multivariate hypergeometric) law
+    given both margins.  The b replicate tables are drawn from that law
+    directly by Patefield's algorithm (AS 159, ``scipy.stats.random_table``),
+    at a cost per replicate set by the number of cells rather than by n.
 
     The tables come from one generator, ``Philox(seed)``.  An integer
     passed to Philox is hashed through ``SeedSequence`` into the key, so
@@ -135,9 +146,10 @@ def permutation_independence_test(pairs, levels: Sequence[float] = DEFAULT_LEVEL
     """
     if b < 99:
         raise ValueError("b must be >= 99")
-    d1, d2, observed = _observed(pairs, levels)
-    n, m = d1.size, np.size(levels) + 1
-    null = random_table(np.bincount(d1, minlength=m), np.bincount(d2, minlength=m))
+    observed = factorization_stat(table)
+    rows, cols = np.sum(table, axis=1), np.sum(table, axis=0)
+    n = rows.sum()
+    null = random_table(rows, cols)
     rng = np.random.Generator(np.random.Philox(seed & (2**64 - 1)))
     n_ge = 0
     for lo in range(0, b, PERM_BLOCK):

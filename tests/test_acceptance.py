@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 from cevnorm.cli import main
-from cevnorm.data import Dataset, fit_dataset, fit_norming, load_csv, residual_diagnostic
+from cevnorm.data import (
+    Dataset,
+    fit_dataset,
+    fit_norming,
+    load_csv,
+    residual_diagnostic,
+    residuals,
+)
 from cevnorm.limits import factorization_gap, limit_H, marginal_H_quantile
 from cevnorm.norming import ErvParams, alpha, beta, psi
 from cevnorm.simulate import (
@@ -22,6 +29,7 @@ from cevnorm.simulate import (
     write_csv,
 )
 from cevnorm.stats import (
+    cell_table,
     chi_hat,
     factorization_stat,
     permutation_independence_test,
@@ -55,8 +63,9 @@ def test_criterion_1_random_norming_factorization():
     for seed in range(20):
         sample = draw_exceedances(CANONICAL, 50.0, 10**5, seed)
         normed = apply_random_norming(sample, CANONICAL)
-        deltas.append(factorization_stat(normed))
-        res = permutation_independence_test(normed, b=199, seed=seed)
+        table = cell_table(normed)
+        deltas.append(factorization_stat(table))
+        res = permutation_independence_test(table, b=199, seed=seed)
         if res.p_value <= 0.01:
             rejections += 1
     worst = max(deltas)
@@ -301,9 +310,9 @@ def test_criterion_8_data_pipeline_recovery(tmp_path):
         for seed in range(100):
             s = draw_exceedances(model, 1.0, 200_000, seed, stream=8)
             ds = Dataset(columns=("x0", "y1", "y2"), x0=s.x0, y1=s.x1,
-                         y2=s.x2, source="<simulated>", n=s.n, n_dropped=0)
+                         y2=s.x2, n=s.n, n_dropped=0)
             fits = fit_dataset(ds, "gaussian", 0.95)  # ~1e4 exceedances
-            res = residual_diagnostic(ds, fits, b=199, seed=seed)
+            res = residual_diagnostic(residuals(ds, fits), fits, b=199, seed=seed)
             if res.p_value <= 0.05:
                 hits += 1
         return hits

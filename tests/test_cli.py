@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cevnorm import cli, limits
+from cevnorm import cli, data, limits, stats
 from cevnorm.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
@@ -463,6 +463,21 @@ class TestVerify:
         assert rep["metrics"]["sup_ecdf_h"] < 0.02
         assert rep["verdicts"]["independence_rejected"] is True
 
+    @pytest.mark.parametrize("command, searches", [("verify-rn", 2), ("verify-dn", 4)])
+    def test_one_cell_grid_per_sample(self, tmp_path, monkeypatch, command, searches):
+        # the statistic and the test read one cell table, whose two margins
+        # are each searched once; verify-dn's joint ECDF searches two more
+        calls = []
+        search = stats._cell_indices
+        monkeypatch.setattr(stats, "_cell_indices",
+                            lambda w, grid: calls.append(1) or search(w, grid))
+        cfg = {"model": CANONICAL, "run": {"n": 2000, "seed": 0, "t": 50},
+               "analysis": {"b": 99, "levels": SMALL_LEVELS,
+                            "grid_levels": SMALL_LEVELS},
+               "io": {"output_dir": str(tmp_path)}}
+        assert run(command, write_config(tmp_path, cfg)) in (EXIT_PASS, EXIT_FAIL)
+        assert len(calls) == searches
+
     def test_constant_model_norming_schemes_agree(self, tmp_path):
         base = {"run": {"n": 5000, "seed": 1, "t": 20},
                 "analysis": {"b": 99, "levels": SMALL_LEVELS,
@@ -697,6 +712,21 @@ class TestDiagnose:
         assert fits["fit1"]["erv"]["a"] > 0
         assert np.isfinite(fits["fit2"]["objective"])
         assert (tmp_path / "residuals.csv").exists()
+
+    def test_residuals_computed_once_and_tested(self, tmp_path, canonical_model,
+                                                monkeypatch):
+        # the fit and the residuals take the exceedances once each, and the
+        # test reads the residuals that residuals.csv holds
+        calls = []
+        tail = data.tail_exceedances
+        monkeypatch.setattr(data, "tail_exceedances",
+                            lambda *args: calls.append(1) or tail(*args))
+        cfg = self._cfg(tmp_path, self._data_csv(tmp_path, canonical_model))
+        assert run("diagnose", write_config(tmp_path, cfg)) == EXIT_PASS
+        assert len(calls) == 2
+        z = np.loadtxt(tmp_path / "residuals.csv", delimiter=",", skiprows=1)
+        delta = stats.factorization_stat(stats.cell_table((z[:, 0], z[:, 1])))
+        assert read_report(tmp_path, "diagnose")["metrics"]["delta"] == delta
 
     def test_uniform_noise_fits(self, tmp_path):
         data_path = self._data_csv(tmp_path, make_model(family="uniform"), n=2 * 10**4)

@@ -60,8 +60,8 @@ def dictreader_reference(path, wanted, delimiter=","):
 def simulated_dataset(model, n, seed, stream=0):
     """Unconditional trivariate sample (t = 1) packaged as a Dataset."""
     s = draw_exceedances(model, 1.0, n, seed, stream=stream)
-    return Dataset(columns=("x0", "y1", "y2"), x0=s.x0, y1=s.x1, y2=s.x2,
-                   source="<simulated>", n=n, n_dropped=0)
+    return Dataset(columns=("x0", "y1", "y2"), x0=s.x0, y1=s.x1, y2=s.x2, n=n,
+                   n_dropped=0)
 
 
 class TestLoadCsv:
@@ -561,7 +561,7 @@ class TestDatasetPipeline:
                             lambda values: calls.append(1) or rank(values))
         ds = simulated_dataset(canonical_model, 5000, 2)
         fits = fit_dataset(ds, "gaussian", 0.95)
-        residual_diagnostic(ds, fits, b=99, seed=0)
+        residual_diagnostic(residuals(ds, fits), fits, b=99, seed=0)
         residuals(ds, fits)
         assert len(calls) == 1
         np.testing.assert_array_equal(ds.x0_pareto, to_pareto_margins(ds.x0))
@@ -569,15 +569,15 @@ class TestDatasetPipeline:
     def test_residual_diagnostic_reproducible(self, canonical_model):
         ds = simulated_dataset(canonical_model, 10**4, 3)
         fits = fit_dataset(ds, "gaussian", 0.95)
-        a = residual_diagnostic(ds, fits, b=999, seed=5)
-        b = residual_diagnostic(ds, fits, b=999, seed=5)
+        a = residual_diagnostic(residuals(ds, fits), fits, b=999, seed=5)
+        b = residual_diagnostic(residuals(ds, fits), fits, b=999, seed=5)
         assert a.p_value == b.p_value
 
     def test_residual_diagnostic_detects_negative_control(self):
         model = make_model(negative_control=True)
         ds = simulated_dataset(model, 10**4, 0)
         fits = fit_dataset(ds, "gaussian", 0.95)
-        res = residual_diagnostic(ds, fits, b=199, seed=0)
+        res = residual_diagnostic(residuals(ds, fits), fits, b=199, seed=0)
         assert res.p_value <= 0.01
 
     def test_unconverged_fits_rejected(self, canonical_model):
@@ -587,7 +587,7 @@ class TestDatasetPipeline:
         bad = dataclasses.replace(fits, fit1=dataclasses.replace(fits.fit1,
                                                                  converged=False))
         with pytest.raises(FitConvergenceError):
-            residual_diagnostic(ds, bad)
+            residual_diagnostic(residuals(ds, bad), bad)
 
 
 class TestSerialization:

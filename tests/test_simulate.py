@@ -34,7 +34,7 @@ from cevnorm.simulate import (
     write_csv,
     write_table,
 )
-from cevnorm.stats import factorization_stat, permutation_independence_test
+from cevnorm.stats import cell_table, factorization_stat, permutation_independence_test
 
 from conftest import make_model
 
@@ -277,7 +277,7 @@ class TestIndependenceCalibration:
         for seed in range(100):
             s = draw_exceedances(canonical_model, 50.0, 2 * 10**4, seed)
             normed = apply_random_norming(s, canonical_model)
-            res = permutation_independence_test(normed, b=199, seed=seed)
+            res = permutation_independence_test(cell_table(normed), b=199, seed=seed)
             if res.p_value <= 0.01:
                 rejections += 1
         assert rejections <= 2
@@ -288,7 +288,7 @@ class TestIndependenceCalibration:
         for seed in range(100):
             s = draw_exceedances(canonical_model, 50.0, 10**5, seed)
             normed = apply_deterministic_norming(s, canonical_model)
-            res = permutation_independence_test(normed, b=199, seed=seed)
+            res = permutation_independence_test(cell_table(normed), b=199, seed=seed)
             if res.p_value <= 0.01:
                 rejections += 1
         assert rejections >= 95
@@ -296,7 +296,7 @@ class TestIndependenceCalibration:
     def test_deterministic_norming_delta_positive(self, canonical_model):
         s = draw_exceedances(canonical_model, 50.0, 10**5, 0)
         normed = apply_deterministic_norming(s, canonical_model)
-        assert factorization_stat(normed) > 0.03
+        assert factorization_stat(cell_table(normed)) > 0.03
 
 
 class TestSerialization:

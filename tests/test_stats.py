@@ -12,6 +12,7 @@ from cevnorm import stats
 from cevnorm.stats import (
     DEFAULT_LEVELS,
     Ecdf,
+    cell_table,
     chi_hat,
     factorization_stat,
     joint_ecdf,
@@ -85,12 +86,12 @@ class TestFactorizationStat:
 
     def test_comonotone_bound(self, rng):
         w = rng.normal(size=1000)
-        stat = factorization_stat((w, w), levels=(0.5,))
+        stat = factorization_stat(cell_table((w, w), levels=(0.5,)))
         assert stat == pytest.approx(0.25, abs=2.0 / 1000)
 
     def test_independent_uniforms_small(self, rng):
         u = rng.random((10**5, 2))
-        assert factorization_stat((u[:, 0], u[:, 1])) < 0.01
+        assert factorization_stat(cell_table((u[:, 0], u[:, 1]))) < 0.01
 
     def test_matches_brute_force_on_ten_points(self, rng):
         # factorization_stat's cell-table path on the grid of all n^2
@@ -98,8 +99,8 @@ class TestFactorizationStat:
         w1 = rng.normal(size=10)
         w2 = rng.normal(size=10)
         g1, g2 = np.sort(w1), np.sort(w2)
-        cells = stats._cell_table(stats._cell_indices(w1, g1),
-                                  stats._cell_indices(w2, g2), g1.size)
+        cells = stats._count_cells(stats._cell_indices(w1, g1),
+                                   stats._cell_indices(w2, g2), g1.size)
         stat = stats._table_stats(cells, 10)
         worst = max(abs(np.mean((w1 <= a) & (w2 <= b)) - np.mean(w1 <= a) * np.mean(w2 <= b))
                     for a in w1 for b in w2)
@@ -109,7 +110,7 @@ class TestFactorizationStat:
         w1 = rng.normal(size=500)
         w2 = rng.normal(size=500)
         levels = (0.25, 0.5, 0.75)
-        stat = factorization_stat((w1, w2), levels=levels)
+        stat = factorization_stat(cell_table((w1, w2), levels=levels))
         worst = 0.0
         for a in np.quantile(w1, levels):
             for b in np.quantile(w2, levels):
@@ -120,26 +121,36 @@ class TestFactorizationStat:
     def test_invariant_under_monotone_transforms(self, rng):
         w1 = rng.normal(size=2000)
         w2 = rng.normal(size=2000)
-        before = factorization_stat((w1, w2))
-        after = factorization_stat((np.exp(w1), w2**3))
+        before = factorization_stat(cell_table((w1, w2)))
+        after = factorization_stat(cell_table((np.exp(w1), w2**3)))
         assert before == pytest.approx(after, abs=1e-15)
 
     def test_errors(self, rng):
         with pytest.raises(ValueError):
-            factorization_stat((np.ones(5), np.ones(5)))
+            cell_table((np.ones(5), np.ones(5)))
         const = np.ones(50)
         with pytest.raises(ValueError):
-            factorization_stat((const, rng.normal(size=50)))
+            cell_table((const, rng.normal(size=50)))
         with pytest.raises(ValueError):
-            factorization_stat((rng.normal(size=50), rng.normal(size=50)),
-                               levels=(0.0, 0.5))
+            cell_table((rng.normal(size=50), rng.normal(size=50)), levels=(0.0, 0.5))
+
+    @pytest.mark.parametrize("table", [
+        np.arange(12),  # 1-d
+        np.full((2, 2), 3.0),  # float counts
+        np.array([[5, 6], [-1, 2]]),  # a negative count
+        np.array([[2, 2], [2, 3]]),  # 9 pairs
+    ])
+    def test_table_check(self, table):
+        for call in (lambda: factorization_stat(table),
+                     lambda: permutation_independence_test(table, b=99)):
+            with pytest.raises(ValueError, match="table must be"):
+                call()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_pairs_raise(self, rng, bad):
         w1, w2 = rng.normal(size=50), rng.normal(size=50)
         w2[[3, 7]] = bad
-        for call in (lambda: factorization_stat((w1, w2)),
-                     lambda: permutation_independence_test((w1, w2), b=99),
+        for call in (lambda: cell_table((w1, w2)),
                      lambda: joint_ecdf((w1, w2), [0.0], [0.0])):
             with pytest.raises(FloatingPointError, match="2 of 50 pairs"):
                 call()
@@ -162,36 +173,36 @@ class TestJointEcdf:
 class TestPermutationTest:
     def test_comonotone_minimal_p(self, rng):
         w = rng.normal(size=10**4)
-        res = permutation_independence_test((w, w), b=199, seed=3)
+        res = permutation_independence_test(cell_table((w, w)), b=199, seed=3)
         assert res.p_value == pytest.approx(1.0 / 200.0)
         assert res.statistic > 0.2
 
     def test_reproducible(self, rng):
         w1 = rng.normal(size=20)
         w2 = rng.normal(size=20)
-        a = permutation_independence_test((w1, w2), b=999, seed=17)
-        b = permutation_independence_test((w1, w2), b=999, seed=17)
+        a = permutation_independence_test(cell_table((w1, w2)), b=999, seed=17)
+        b = permutation_independence_test(cell_table((w1, w2)), b=999, seed=17)
         assert a.p_value == b.p_value
         assert a.statistic == b.statistic
 
     def test_p_value_range(self, rng):
         w1 = rng.normal(size=200)
         w2 = rng.normal(size=200)
-        res = permutation_independence_test((w1, w2), b=99, seed=0)
+        res = permutation_independence_test(cell_table((w1, w2)), b=99, seed=0)
         assert 1.0 / 100.0 <= res.p_value <= 1.0
 
     def test_b_floor(self, rng):
         with pytest.raises(ValueError):
-            permutation_independence_test((rng.normal(size=50),) * 2, b=50)
+            permutation_independence_test(cell_table((rng.normal(size=50),) * 2), b=50)
 
     def test_constant_coordinate_rejected(self, rng):
         with pytest.raises(ValueError, match="constant"):
-            permutation_independence_test((rng.normal(size=50), np.ones(50)), b=99)
+            cell_table((rng.normal(size=50), np.ones(50)))
 
     def test_too_few_pairs_rejected(self, rng):
         w1, w2 = rng.normal(size=5), rng.normal(size=5)
         with pytest.raises(ValueError, match="at least 10 pairs"):
-            permutation_independence_test((w1, w2), b=99)
+            cell_table((w1, w2))
 
 
 LEVELS4 = (0.2, 0.4, 0.6, 0.8)
@@ -232,10 +243,10 @@ class TestNullTables:
         w1, w2 = _datasets()[name]
         observed, shuffled = _shuffle_stats(w1, w2, LEVELS4, 20_000,
                                             np.random.default_rng(5))
-        assert observed == factorization_stat((w1, w2), LEVELS4)
+        assert observed == factorization_stat(cell_table((w1, w2), LEVELS4))
         ref = (1 + np.count_nonzero(shuffled >= observed)) / (shuffled.size + 1)
         b = 9999
-        p = permutation_independence_test((w1, w2), LEVELS4, b=b, seed=3).p_value
+        p = permutation_independence_test(cell_table((w1, w2), LEVELS4), b=b, seed=3).p_value
         se = np.sqrt(ref * (1 - ref) * (1 / (b + 1) + 1 / (shuffled.size + 1)))
         assert 0.02 < ref < 0.98
         assert abs(p - ref) <= 4 * se, (p, ref, (p - ref) / se)
@@ -243,9 +254,10 @@ class TestNullTables:
     @pytest.mark.parametrize("block", [1, 7, 199])
     def test_block_size_does_not_move_p(self, monkeypatch, block):
         w1, w2 = _datasets()["weak"]
-        want = permutation_independence_test((w1, w2), LEVELS4, b=199, seed=8)
+        table = cell_table((w1, w2), LEVELS4)
+        want = permutation_independence_test(table, b=199, seed=8)
         monkeypatch.setattr(stats, "PERM_BLOCK", block)
-        got = permutation_independence_test((w1, w2), LEVELS4, b=199, seed=8)
+        got = permutation_independence_test(table, b=199, seed=8)
         assert got == want
 
     @pytest.mark.parametrize("b", [99, 127, 128, 129])
@@ -263,7 +275,7 @@ class TestNullTables:
 
         monkeypatch.setattr(stats, "random_table", Counting)
         w1, w2 = _datasets()["independent"]
-        p = permutation_independence_test((w1, w2), LEVELS4, b=b, seed=2).p_value
+        p = permutation_independence_test(cell_table((w1, w2), LEVELS4), b=b, seed=2).p_value
         k = round(p * (b + 1))
         assert p == k / (b + 1) and 1 <= k <= b + 1
         assert sum(drawn) == b and max(drawn) <= stats.PERM_BLOCK
@@ -271,8 +283,9 @@ class TestNullTables:
     @pytest.mark.parametrize("name", ["independent", "weak", "three_values"])
     def test_statistic_is_factorization_stat(self, name):
         w1, w2 = _datasets()[name]
-        res = permutation_independence_test((w1, w2), LEVELS4, b=99, seed=0)
-        assert res.statistic == factorization_stat((w1, w2), LEVELS4)
+        table = cell_table((w1, w2), LEVELS4)
+        res = permutation_independence_test(table, b=99, seed=0)
+        assert res.statistic == factorization_stat(table)
 
 
 class TestPseudoUniformsAndChi:
